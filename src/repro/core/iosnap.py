@@ -19,7 +19,7 @@ paper's design:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro import sanitize
 from repro.core.activation import ActivatedSnapshot, activate_proc
@@ -124,6 +124,13 @@ class IoSnapDevice(VslDevice):
 
     config: IoSnapConfig
     CONFIG_CLS = IoSnapConfig
+    # Create/delete notes are kept forever: deleted snapshots' epochs
+    # can still be ancestors of live data, and recovery needs the full
+    # main-chain epoch lineage.  Activate/deactivate notes die with the
+    # crash-ephemeral activations they describe.
+    LIVE_NOTE_KINDS = frozenset({PageKind.NOTE_TRIM,
+                                 PageKind.NOTE_SNAP_CREATE,
+                                 PageKind.NOTE_SNAP_DELETE})
 
     def __init__(self, kernel, nand, config: Optional[IoSnapConfig] = None):
         super().__init__(kernel, nand, config or IoSnapConfig())
@@ -296,7 +303,7 @@ class IoSnapDevice(VslDevice):
                               PageKind.NOTE_SNAP_DEACTIVATE)
         ppn, done = yield from self.log.append(header, payload,
                                                privileged=privileged)
-        self._note_registry[ppn] = note
+        self.notes.register(ppn, note)
         yield done  # notes persist the operation; wait for durability
         return ppn
 
@@ -328,20 +335,25 @@ class IoSnapDevice(VslDevice):
         count cached for that segment is stale."""
         self._seg_merged_valid.pop(bit // self.log.segment_pages, None)
 
-    def _merged_valid_cache(self) -> Dict[int, int]:
-        """Per-segment merged valid counts, keyed to the live epoch set.
+    def _merged_valid_cache(self) -> Tuple[Dict[int, int],
+                                           List[CowValidityBitmap]]:
+        """Per-segment merged valid counts, keyed to the live epoch set,
+        plus the live bitmaps those counts merge.
 
         Epoch membership changes (snapshot create/delete/deactivate,
         recovery, checkpoint restore) swap bitmap objects in and out of
         ``_epoch_bitmaps``; bit-level changes inside a live epoch are
-        caught by the ``on_mutate`` callback instead.
+        caught by the ``on_mutate`` callback instead.  The key holds the
+        ``(epoch, bitmap)`` pairs themselves (bitmaps compare by
+        identity), so a recycled object id can never alias a dead
+        epoch set.
         """
-        key = tuple((epoch, id(bitmap))
-                    for epoch, bitmap in sorted(self._epoch_bitmaps.items()))
+        live = self.live_epoch_bitmaps()
+        key = tuple(live)
         if key != self._seg_merged_key:
             self._seg_merged_key = key
             self._seg_merged_valid.clear()
-        return self._seg_merged_valid
+        return self._seg_merged_valid, [bitmap for _epoch, bitmap in live]
 
     def bitmap_memory_bytes(self) -> int:
         """Private bitmap bytes across live epochs (paper §6.2.1)."""
@@ -441,28 +453,46 @@ class IoSnapDevice(VslDevice):
         return valid, merge_cost
 
     def _estimate_valid_count(self, seg: Segment) -> int:
-        if self.config.snapshot_aware_pacing:
-            cache = self._merged_valid_cache()
+        count = self._valid_count_fn()(seg)
+        if sanitize.enabled:
+            # The cache must be invalidated on every bitmap mutation
+            # (_note_bitmap_mutation); a stale hit here silently skews
+            # the cleaner's pacing decisions.
+            actual = self._recount_valid(seg)
+            sanitize.check(
+                count == actual,
+                f"merged-validity cache stale for segment "
+                f"{seg.index}: cached {count}, bitmaps say {actual}")
+        return count
+
+    def _valid_count_fn(self) -> Callable[[Segment], int]:
+        """Merged valid counts through the per-segment cache.
+
+        The cache, its epoch-set key and the live-bitmap list are bound
+        once per call, so a cleaner pick pays for them once rather
+        than once per candidate.
+        """
+        if not self.config.snapshot_aware_pacing:
+            # Vanilla rate policy: only the active epoch's validity — an
+            # underestimate whenever the segment holds snapshotted data.
+            active = self.active_bitmap
+            return lambda seg: active.count_range(seg.first_ppn, seg.npages)
+        cache, bitmaps = self._merged_valid_cache()
+
+        def valid(seg: Segment) -> int:
             count = cache.get(seg.index)
             if count is None:
-                bitmaps = [bm for _e, bm in self.live_epoch_bitmaps()]
-                count = merged_count_range(bitmaps, seg.first_ppn, seg.npages)
-                cache[seg.index] = count
-            elif sanitize.enabled:
-                # The cache must be invalidated on every bitmap
-                # mutation (_note_bitmap_mutation); a stale hit here
-                # silently skews the cleaner's pacing decisions.
-                bitmaps = [bm for _e, bm in self.live_epoch_bitmaps()]
-                actual = merged_count_range(bitmaps, seg.first_ppn,
-                                            seg.npages)
-                sanitize.check(
-                    count == actual,
-                    f"merged-validity cache stale for segment "
-                    f"{seg.index}: cached {count}, bitmaps say {actual}")
+                count = cache[seg.index] = merged_count_range(
+                    bitmaps, seg.first_ppn, seg.npages)
             return count
-        # Vanilla rate policy: only the active epoch's validity — an
-        # underestimate whenever the segment holds snapshotted data.
-        return self.active_bitmap.count_range(seg.first_ppn, seg.npages)
+
+        return valid
+
+    def _recount_valid(self, seg: Segment) -> int:
+        if not self.config.snapshot_aware_pacing:
+            return self.active_bitmap.count_range(seg.first_ppn, seg.npages)
+        bitmaps = [bitmap for _epoch, bitmap in self.live_epoch_bitmaps()]
+        return merged_count_range(bitmaps, seg.first_ppn, seg.npages)
 
     def _block_still_valid(self, ppn: int) -> bool:
         return any(bitmap.test(ppn)
@@ -592,16 +622,6 @@ class IoSnapDevice(VslDevice):
         intersects` fast path instead of materializing a frozenset.
         """
         return self._epoch_index.intersects(seg.index, epochs)
-
-    def _note_is_live(self, ppn: int, header: OobHeader) -> bool:
-        """Create/delete notes are kept forever: deleted snapshots'
-        epochs can still be ancestors of live data, and recovery needs
-        the full main-chain epoch lineage.  Activate/deactivate notes
-        die with the crash-ephemeral activations they describe."""
-        del ppn
-        return header.kind in (PageKind.NOTE_TRIM,
-                               PageKind.NOTE_SNAP_CREATE,
-                               PageKind.NOTE_SNAP_DELETE)
 
     def _rebuild_state(self, packets: List[Any]) -> Generator:
         from repro.core.recovery import rebuild_iosnap_state

@@ -73,7 +73,7 @@ def write_checkpoint(ftl: "VslDevice") -> Generator:
         "seq": ftl._next_seq,
         "map_items": map_items,
         "map_gtd": map_gtd,
-        "notes": dict(ftl._note_registry),
+        "notes": ftl.notes.dump(),
         "extra": ftl._dump_extra(generation),
     }
     blob = pickle.dumps(state)
@@ -211,7 +211,7 @@ def restore_checkpoint(ftl: "VslDevice") -> Generator:
         ftl.map = BPlusTree.bulk_load(state["map_items"],
                                       order=ftl.config.map_order)
         yield len(state["map_items"]) * ftl.config.cpu.map_bulk_insert_ns
-    ftl._note_registry = state["notes"]
+    ftl.notes.load(state["notes"])
     if not fallback:
         # Adopt the log's segment bookkeeping *before* the extra-state
         # hook: the ioSnap layer cross-validates its durable epoch
@@ -242,5 +242,5 @@ def restore_checkpoint(ftl: "VslDevice") -> Generator:
     # cleaner relocated after that generation cannot linger.
     from repro.ftl.recovery import recover
 
-    ftl._note_registry = {}
+    ftl.notes.clear()
     yield from recover(ftl)

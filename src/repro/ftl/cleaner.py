@@ -7,10 +7,11 @@ number — activation-by-scan depends on this), then erases the segment
 and returns it to the free pool.
 
 All validity decisions go through hook methods on the owning FTL
-(``_compute_valid`` / ``_block_still_valid`` / ``_relocate`` /
-``_note_is_live``), so the same cleaner drives both the vanilla FTL and
-the snapshot-aware ioSnap layer; ioSnap's hooks implement the merged
-per-epoch bitmaps of Figure 6.
+(``_occupancy_fn`` / ``_compute_valid`` / ``_block_still_valid`` /
+``_relocate``) and its note registry (``ftl.notes``), so the same
+cleaner drives both the vanilla FTL and the snapshot-aware ioSnap
+layer; ioSnap's hooks implement the merged per-epoch bitmaps of
+Figure 6.
 
 Pacing: moves are spread over ``cleaner_budget_ms`` using the move-count
 estimate from ``_estimate_valid_count`` (see
@@ -140,29 +141,6 @@ class SegmentCleaner:
                 yield self._park(stripe)
 
     # -- selection ------------------------------------------------------------
-    def _live_notes_by_segment(self) -> Dict[int, int]:
-        """Live-note counts per segment index, in one registry pass.
-
-        The registry holds every note page still tracked; grouping it
-        once is O(notes), versus the per-candidate media rescans
-        (O(segments x segment_pages)) this replaces.
-        """
-        counts: Dict[int, int] = {}
-        array = self.ftl.nand.array
-        seg_pages = self.ftl.log.segment_pages
-        for ppn in self.ftl._note_registry:
-            if not array.is_programmed(ppn):
-                continue
-            if self.ftl._note_is_live(ppn, array.read_header(ppn)):
-                index = ppn // seg_pages
-                counts[index] = counts.get(index, 0) + 1
-        return counts
-
-    def _occupied_count(self, seg: Segment) -> int:
-        valid = self.ftl._estimate_valid_count(seg)
-        return (valid + self._live_notes_by_segment().get(seg.index, 0)
-                + self.ftl._map_pages_in_segment(seg))
-
     def select_candidate(self,
                          stripe: Optional[int] = None) -> Optional[Segment]:
         """Pick the next segment to clean per the configured policy.
@@ -171,34 +149,39 @@ class SegmentCleaner:
         "cost_benefit" scores (1 - u) * age / (1 + u), preferring old,
         cold segments (Rosenblum & Ousterhout).  With ``stripe`` given,
         only candidates homed on that stripe are considered.  Segments
-        a sibling worker is already cleaning are skipped.  Returns None
-        when no eligible closed segment would free anything.
+        a sibling worker is already cleaning are skipped.  Ties go to
+        the lowest segment index.  Returns None when no eligible closed
+        segment would free anything.
+
+        O(closed segments): the log keeps the closed set, and the FTL's
+        per-pick occupancy function answers each candidate in O(1)
+        without touching the media.
         """
-        policy = self.ftl.config.gc_policy
-        newest_seq = max((seg.seq for seg in self.ftl.log.closed_segments()),
-                         default=0)
-        notes_by_seg = self._live_notes_by_segment()
+        log = self.ftl.log
+        closed = log.closed_view(stripe)
+        if not closed:
+            return None
+        occupancy = self.ftl._occupancy_fn()
+        cleaning = self._cleaning
+        capacity = log.segment_pages - 1   # Segment.data_capacity
+        cost_benefit = self.ftl.config.gc_policy == "cost_benefit"
+        newest_seq = log.newest_closed_seq() if cost_benefit else 0
         best: Optional[Segment] = None
-        best_score = None
-        for seg in self.ftl.log.closed_segments(stripe):
-            if seg.index in self._cleaning:
+        best_score = 0.0
+        for seg in closed:
+            if seg.index in cleaning:
                 continue
-            # Translation-aware: GTD-referenced MAP pages occupy space
-            # the erase cannot reclaim for free (they must be copied
-            # forward), so they count against the candidate exactly
-            # like live data and live notes do.
-            occupied = (self.ftl._estimate_valid_count(seg)
-                        + notes_by_seg.get(seg.index, 0)
-                        + self.ftl._map_pages_in_segment(seg))
-            if occupied >= seg.data_capacity:
+            occupied = occupancy(seg)
+            if occupied >= capacity:
                 continue  # nothing reclaimable
-            if policy == "greedy":
-                score = -occupied
-            else:
-                u = occupied / seg.data_capacity
+            if cost_benefit:
+                u = occupied / capacity
                 age = newest_seq - seg.seq + 1
                 score = (1.0 - u) * age / (1.0 + u)
-            if best_score is None or score > best_score:
+            else:
+                score = -occupied
+            if best is None or score > best_score or (
+                    score == best_score and seg.index < best.index):
                 best, best_score = seg, score
         return best
 
@@ -285,7 +268,7 @@ class SegmentCleaner:
                 yield from self.ftl._relocate_map_page(ppn, header,
                                                        gc_stripe)
                 continue
-            if ppn in self.ftl._note_registry and self.ftl._note_is_live(ppn, header):
+            if self.ftl.notes.is_live(ppn):
                 try:
                     record = yield from self.ftl.nand.read_page(ppn)
                 except UncorrectableError:

@@ -12,7 +12,8 @@ Base FTL invariants
   F3  the validity bitmap marks exactly the mapped pages;
   F4  segment bookkeeping matches the media (header pages, sequence
       numbers, programmed extents; FREE segments are erased);
-  F5  every registered note is programmed with a matching kind.
+  F5  every registered note is programmed with a matching kind, and
+      the registry's per-segment index and live counts match its notes.
 
 ioSnap invariants (additionally)
   S1  the active epoch's bitmap marks exactly the mapped pages;
@@ -307,7 +308,7 @@ def _check_retired(device) -> List[str]:
                         seg.first_ppn, seg.npages):
                     out.append(f"M2: epoch {epoch} marks ppn {ppn} in "
                                f"retired segment {seg.index}")
-    for ppn in device._note_registry:
+    for ppn in device.notes:
         index = device.log.segment_of(ppn).index
         if index in retired_idx:
             out.append(f"M3: registered note at ppn {ppn} in retired "
@@ -318,7 +319,7 @@ def _check_retired(device) -> List[str]:
 def _check_notes(device) -> List[str]:
     out: List[str] = []
     array = device.nand.array
-    for ppn, note in device._note_registry.items():
+    for ppn, note in device.notes.items():
         if not array.is_programmed(ppn):
             out.append(f"F5: registered note at unprogrammed ppn {ppn}")
             continue
@@ -330,6 +331,7 @@ def _check_notes(device) -> List[str]:
         elif header.kind is not expected:
             out.append(f"F5: note at ppn {ppn} is {header.kind.name}, "
                        f"registry says {expected.name}")
+    out.extend(f"F5: {problem}" for problem in device.notes.audit())
     return out
 
 

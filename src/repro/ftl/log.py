@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Generator, List, Optional, Tuple, ValuesView
 
 from repro import sanitize
 from repro.errors import FtlError, OutOfSpaceError, ProgramFailError
@@ -64,6 +65,8 @@ _NOTE_SITES = {
 
 # Precomputed phased name: this check sits on every packet append.
 _HEAD_COMMIT_PRE = sites.LOG_HEAD_COMMIT + ":pre"
+
+_SEQ = attrgetter("seq")
 
 
 def append_site(kind: PageKind, head: str) -> str:
@@ -186,6 +189,15 @@ class Log:
         # a die (or, with dies == channels, a channel).
         self.num_stripes = geometry.channels
         self._pages_per_die = geometry.pages_per_die
+        # The cleaner's candidate set: closed segments by index, overall
+        # and per stripe.  Every state change goes through _set_state,
+        # which keeps both current, so victim selection visits closed
+        # segments only instead of filtering the whole segment table.
+        self._closed: Dict[int, Segment] = {}
+        self._closed_by_stripe: List[Dict[int, Segment]] = [
+            {} for _ in range(self.num_stripes)]
+        self._seg_stripe = [self.stripe_of_segment(seg.index)
+                            for seg in self.segments]
         if user_heads is None:
             user_heads = self.num_stripes
         if user_heads < 1:
@@ -310,9 +322,49 @@ class Log:
         return sum(len(reserve) for reserve in self._reserve)
 
     def closed_segments(self, stripe: Optional[int] = None) -> List[Segment]:
-        return [s for s in self.segments
-                if s.state is SegmentState.CLOSED
-                and (stripe is None or self.stripe_of_segment(s.index) == stripe)]
+        """Closed segments (only ``stripe``'s when given), by index."""
+        closed = self._closed_index(stripe)
+        return [closed[index] for index in sorted(closed)]
+
+    def closed_view(self,
+                    stripe: Optional[int] = None) -> ValuesView[Segment]:
+        """Live, unordered view of the closed segments (cleaner picks).
+
+        O(1) to obtain; iterating it visits closed segments only.
+        Callers must not yield while iterating: a state change resizes
+        the underlying index.
+        """
+        closed = self._closed_index(stripe)
+        if sanitize.enabled:
+            expected = {seg.index for seg in self.segments
+                        if seg.state is SegmentState.CLOSED
+                        and (stripe is None
+                             or self.stripe_of_segment(seg.index) == stripe)}
+            sanitize.check(
+                set(closed) == expected,
+                f"closed-segment index drifted (stripe {stripe}): "
+                f"index {sorted(closed)}, segment table {sorted(expected)}")
+        return closed.values()
+
+    def newest_closed_seq(self) -> int:
+        """Highest allocation seq among closed segments (0 if none)."""
+        return max(map(_SEQ, self._closed.values()), default=0)
+
+    def _closed_index(self, stripe: Optional[int]) -> Dict[int, Segment]:
+        if stripe is None:
+            return self._closed
+        return self._closed_by_stripe[stripe]
+
+    def _set_state(self, seg: Segment, state: SegmentState) -> None:
+        """Move ``seg`` to ``state``, keeping the closed index current."""
+        index = seg.index
+        if state is SegmentState.CLOSED:
+            self._closed[index] = seg
+            self._closed_by_stripe[self._seg_stripe[index]][index] = seg
+        elif seg.state is SegmentState.CLOSED:
+            del self._closed[index]
+            del self._closed_by_stripe[self._seg_stripe[index]][index]
+        seg.state = state
 
     def segment_of(self, ppn: int) -> Segment:
         seg = self.segments[ppn // self.segment_pages]
@@ -387,7 +439,8 @@ class Log:
                     # The slot is committed; hand the program to the
                     # die's submission queue and wait for its ack (bus
                     # transfer done, contents latched).
-                    self.device.power_check(_HEAD_COMMIT_PRE)
+                    if self.device.power is not None:
+                        self.device.power_check(_HEAD_COMMIT_PRE)
                     ack, done = self.device.queues.submit(
                         ppn, header, data, site)
                     try:
@@ -410,7 +463,7 @@ class Log:
                             # segment: close it now (the cleaner will
                             # salvage and retire it) and reopen
                             # elsewhere on the next pass.
-                            seg.state = SegmentState.CLOSED
+                            self._set_state(seg, SegmentState.CLOSED)
                             self._open[head] = None
                         if fails > MAX_PROGRAM_RETRIES:
                             raise
@@ -420,7 +473,7 @@ class Log:
                     if seg.next_offset >= seg.npages:
                         # Close eagerly: a full segment is immediately
                         # visible to the cleaner as a candidate.
-                        seg.state = SegmentState.CLOSED
+                        self._set_state(seg, SegmentState.CLOSED)
                         self._open[head] = None
                     self.stats.appends += 1
                     per_head = self.stats.per_head_appends
@@ -457,9 +510,9 @@ class Log:
                 self.retire_segment(index)
                 continue
             if self._open.get(head) is not None:
-                self._open[head].state = SegmentState.CLOSED
+                self._set_state(self._open[head], SegmentState.CLOSED)
                 self._open[head] = None
-            seg.state = SegmentState.OPEN
+            self._set_state(seg, SegmentState.OPEN)
             seg.seq = self._next_seg_seq
             self._next_seg_seq += 1
             seg.next_offset = 1
@@ -479,7 +532,7 @@ class Log:
                 # another.  A segment whose header failed holds no
                 # packets, so nothing is lost.
                 self.stats.program_fails += 1
-                seg.state = SegmentState.CLOSED
+                self._set_state(seg, SegmentState.CLOSED)
                 self._open[head] = None
                 continue
             del done  # segment headers need not be durable before use
@@ -554,7 +607,7 @@ class Log:
                 return False
             if races.enabled:
                 races.note(self.kernel, f"log.head:{head}", "w")
-            seg.state = SegmentState.CLOSED
+            self._set_state(seg, SegmentState.CLOSED)
             self._open[head] = None
             return True
         finally:
@@ -571,7 +624,7 @@ class Log:
             if not self.device.array.block_is_erased(block):
                 raise FtlError(
                     f"segment {index} released without erasing block {block}")
-        seg.state = SegmentState.FREE
+        self._set_state(seg, SegmentState.FREE)
         seg.seq = -1
         seg.next_offset = 0
         stripe = self.stripe_of_segment(index)
@@ -615,7 +668,7 @@ class Log:
                         entries.remove(index)
         finally:
             self._alloc_lock.release()
-        seg.state = SegmentState.RETIRED
+        self._set_state(seg, SegmentState.RETIRED)
         seg.seq = -1
         self.on_segment_retired(index)
 
@@ -651,7 +704,7 @@ class Log:
             self._san_last = {}
             for seg in self.segments:
                 state_name, seq, next_offset = seg_states[seg.index]
-                seg.state = SegmentState(state_name)
+                self._set_state(seg, SegmentState(state_name))
                 seg.seq = seq
                 seg.next_offset = next_offset
                 if seg.state is SegmentState.FREE:

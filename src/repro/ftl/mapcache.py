@@ -306,6 +306,10 @@ class MapCache:
         """GTD-referenced MAP pages in ``seg_index`` (cleaner accounting)."""
         return self._seg_live.get(seg_index, 0)
 
+    def live_by_segment(self) -> Dict[int, int]:
+        """Read-only view: segment index -> GTD-referenced MAP pages."""
+        return self._seg_live
+
     def relocate_proc(self, ppn: int, header: OobHeader,
                       gc_stripe: Optional[int] = None) -> Generator:
         """Copy-forward one MAP page out of a segment being cleaned.

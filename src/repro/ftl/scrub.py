@@ -163,8 +163,7 @@ class Scrubber:
         elif header.kind is PageKind.SEGMENT_HEADER:
             live = False  # not relocatable; dies with its segment
         else:
-            live = (ppn in ftl._note_registry
-                    and ftl._note_is_live(ppn, header))
+            live = ftl.notes.is_live(ppn)
         if not live:
             return
         started = self.kernel.now

@@ -19,8 +19,20 @@ Two calling conventions exist for every I/O operation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from repro import sanitize
 from repro.errors import (
     DegradedModeError,
     FtlError,
@@ -157,10 +169,144 @@ class _ReadCache:
             self._entries.pop(ppn, None)
 
 
+class NoteRegistry:
+    """The note pages the FTL still tracks, indexed by segment.
+
+    Maps ``ppn -> note`` (the dataclasses of :mod:`repro.ftl.packet`)
+    and keeps, per segment, which note pages it holds and how many of
+    them are *live* — notes the cleaner must copy forward instead of
+    letting them die with the segment.  Liveness depends only on the
+    note's kind (``live_kinds``), so it is fixed at registration and
+    cleaner selection reads :attr:`live_by_segment` without touching
+    the media.  Erasing a segment drops only that segment's entries.
+    """
+
+    def __init__(self, segment_pages: int, segment_count: int,
+                 live_kinds: FrozenSet[PageKind]) -> None:
+        self._segment_pages = segment_pages
+        self._live_kinds = live_kinds
+        self._notes: Dict[int, Any] = {}
+        self._by_segment: Dict[int, Set[int]] = {}
+        #: Live-note count per segment index.
+        self.live_by_segment: List[int] = [0] * segment_count
+
+    def __len__(self) -> int:
+        return len(self._notes)
+
+    def __contains__(self, ppn: int) -> bool:
+        return ppn in self._notes
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._notes)
+
+    def items(self):
+        return self._notes.items()
+
+    def is_live(self, ppn: int) -> bool:
+        """Is ``ppn`` a registered note the cleaner must preserve?"""
+        note = self._notes.get(ppn)
+        return note is not None and note.kind in self._live_kinds
+
+    def register(self, ppn: int, note: Any) -> None:
+        index = ppn // self._segment_pages
+        old = self._notes.get(ppn)
+        if old is None:
+            self._by_segment.setdefault(index, set()).add(ppn)
+        elif old.kind in self._live_kinds:
+            self.live_by_segment[index] -= 1
+        self._notes[ppn] = note
+        if note.kind in self._live_kinds:
+            self.live_by_segment[index] += 1
+
+    def discard(self, ppn: int) -> Optional[Any]:
+        """Forget ``ppn``; returns its note (None if not registered)."""
+        note = self._notes.pop(ppn, None)
+        if note is not None:
+            index = ppn // self._segment_pages
+            members = self._by_segment[index]
+            members.discard(ppn)
+            if not members:
+                del self._by_segment[index]
+            if note.kind in self._live_kinds:
+                self.live_by_segment[index] -= 1
+        return note
+
+    def move(self, old_ppn: int, new_ppn: int) -> None:
+        """A note page was copied forward from ``old_ppn`` to ``new_ppn``."""
+        note = self.discard(old_ppn)
+        if note is not None:
+            self.register(new_ppn, note)
+
+    def drop_segment(self, index: int) -> None:
+        """Segment ``index`` was erased: its note pages are gone."""
+        for ppn in self._by_segment.pop(index, ()):
+            del self._notes[ppn]
+        self.live_by_segment[index] = 0
+
+    def clear(self) -> None:
+        self._notes.clear()
+        self._by_segment.clear()
+        self.live_by_segment[:] = [0] * len(self.live_by_segment)
+
+    def dump(self) -> Dict[int, Any]:
+        """Plain ``ppn -> note`` copy (the checkpoint's image)."""
+        return dict(self._notes)
+
+    def load(self, notes: Dict[int, Any]) -> None:
+        """Replace the contents with a :meth:`dump` image."""
+        self.clear()
+        for ppn, note in notes.items():
+            self.register(ppn, note)
+
+    def recount_from_media(self, array) -> Dict[int, int]:
+        """Live notes per segment from each page's OOB kind.
+
+        The reference the incremental counts must match: one media
+        pass over every registered note (unprogrammed pages count as
+        nothing).  Used by the runtime sanitizer, never on a hot path.
+        """
+        counts: Dict[int, int] = {}
+        for ppn in self._notes:
+            if array.is_programmed(ppn) \
+                    and array.read_header(ppn).kind in self._live_kinds:
+                index = ppn // self._segment_pages
+                counts[index] = counts.get(index, 0) + 1
+        return counts
+
+    def audit(self) -> List[str]:
+        """Inconsistencies between the segment index and the notes."""
+        out: List[str] = []
+        by_segment: Dict[int, Set[int]] = {}
+        live: Dict[int, int] = {}
+        for ppn, note in self._notes.items():
+            index = ppn // self._segment_pages
+            by_segment.setdefault(index, set()).add(ppn)
+            if note.kind in self._live_kinds:
+                live[index] = live.get(index, 0) + 1
+        if by_segment != self._by_segment:
+            out.append(f"note registry segment index {self._by_segment} "
+                       f"!= notes regrouped {by_segment}")
+        counted = {index: count
+                   for index, count in enumerate(self.live_by_segment)
+                   if count}
+        if counted != live:
+            out.append(f"note registry live counts {counted} != notes "
+                       f"recounted {live}")
+        return out
+
+
+_NO_MAP_PAGES: Dict[int, int] = {}
+
+
 class VslDevice:
     """Log-structured remap-on-write FTL exposing a block interface."""
 
     CONFIG_CLS = FtlConfig
+    # Note kinds the cleaner must copy forward.  Trim notes are
+    # conservatively kept forever: stale data packets for the trimmed
+    # LBA may survive in never-cleaned segments, and a replay without
+    # the note would resurrect them.
+    LIVE_NOTE_KINDS: FrozenSet[PageKind] = frozenset({PageKind.NOTE_TRIM})
     # Config fields that define the on-media format: they must match
     # between the instance that formatted the device and any later
     # open, so they are persisted in the superblock.
@@ -211,7 +357,9 @@ class VslDevice:
         self.map = self._make_map()
         self.metrics = FtlMetrics()
         self._next_seq = 0
-        self._note_registry: Dict[int, Any] = {}   # ppn -> note dataclass
+        self.notes = NoteRegistry(self.log.segment_pages,
+                                  self.log.segment_count,
+                                  self.LIVE_NOTE_KINDS)
         self._read_cache = _ReadCache(capacity=4 * max(1, self.config.readahead_pages))
         self._prefetch_inflight: Dict[int, Any] = {}   # ppn -> Event
         self._last_read_lba: Optional[int] = None
@@ -414,7 +562,7 @@ class VslDevice:
                 races.note(self.kernel, f"ftl.map:{lba}", "w")
             self.map.delete(lba)
         self._clear_valid_everywhere(ppn, lba)
-        self._note_registry.pop(ppn, None)
+        self.notes.discard(ppn)
         self._read_cache.invalidate_range(ppn, 1)
         # ``mapped`` records whether the *active tree* lost this LBA:
         # only then must foreground reads raise instead of returning
@@ -586,7 +734,7 @@ class VslDevice:
             ppn, done = yield from self.log.append(
                 header, payload, head=self.log.user_head_for(lba))
             self._on_packet_appended(ppn, header)
-            self._note_registry[ppn] = note
+            self.notes.register(ppn, note)
             yield from self._map_fault(lba)
             if races.enabled:
                 races.note(self.kernel, f"ftl.map:{lba}", "w")
@@ -966,6 +1114,57 @@ class VslDevice:
         """
         return self._seg_valid[seg.index]
 
+    def _valid_count_fn(self) -> Callable[[Segment], int]:
+        """Per-pick valid-data counter: ``fn(seg)`` in O(1).
+
+        Bound once per cleaner pick; the ioSnap layer binds its
+        merged-across-epochs cache here.
+        """
+        seg_valid = self._seg_valid
+        return lambda seg: seg_valid[seg.index]
+
+    def _recount_valid(self, seg: Segment) -> int:
+        """Full valid-data recount of ``seg`` (sanitizer reference)."""
+        return self.validity.count_range(seg.first_ppn, seg.npages)
+
+    def _occupancy_fn(self) -> Callable[[Segment], int]:
+        """Per-pick occupancy: ``fn(seg)`` = pages cleaning must keep.
+
+        Valid data plus live notes plus, for a flash-resident map,
+        GTD-referenced MAP pages: everything an erase cannot reclaim
+        for free because it must be copied forward first.  The cleaner
+        binds this once per pick, so each candidate costs O(1) and no
+        media access.  The function is only valid until the next
+        yield.  With the runtime sanitizer armed, every answer is
+        cross-checked against a full recount (bitmap popcount plus a
+        media pass over the note registry).
+        """
+        valid = self._valid_count_fn()
+        notes = self.notes.live_by_segment
+        map_live = (self.map.live_by_segment() if self.map_is_cached
+                    else _NO_MAP_PAGES)
+
+        def occupied(seg: Segment) -> int:
+            index = seg.index
+            return valid(seg) + notes[index] + map_live.get(index, 0)
+
+        if not sanitize.enabled:
+            return occupied
+        media_notes = self.notes.recount_from_media(self.nand.array)
+
+        def checked(seg: Segment) -> int:
+            count = occupied(seg)
+            actual = (self._recount_valid(seg)
+                      + media_notes.get(seg.index, 0)
+                      + self._map_pages_in_segment(seg))
+            sanitize.check(
+                count == actual,
+                f"cleaner occupancy drifted for segment {seg.index}: "
+                f"incremental {count}, full recount {actual}")
+            return count
+
+        return checked
+
     def _block_still_valid(self, ppn: int) -> bool:
         """Re-check at move time (foreground may invalidate mid-clean)."""
         return self.validity.test(ppn)
@@ -991,20 +1190,8 @@ class VslDevice:
         return
         yield  # pragma: no cover
 
-    def _note_is_live(self, ppn: int, header: OobHeader) -> bool:
-        """Should the cleaner preserve this note page?
-
-        Trim notes are conservatively kept forever (stale data packets
-        for the trimmed LBA may survive in never-cleaned segments and a
-        replay without the note would resurrect them).
-        """
-        del ppn
-        return header.kind is PageKind.NOTE_TRIM
-
     def _relocate_note(self, old_ppn: int, new_ppn: int) -> None:
-        note = self._note_registry.pop(old_ppn, None)
-        if note is not None:
-            self._note_registry[new_ppn] = note
+        self.notes.move(old_ppn, new_ppn)
 
     def _on_packet_appended(self, ppn: int, header: OobHeader) -> None:
         """Hook: a packet landed at ``ppn`` (ioSnap tracks epoch sets)."""
@@ -1026,9 +1213,7 @@ class VslDevice:
 
     def _on_segment_erased(self, seg: Segment) -> None:
         self._read_cache.invalidate_range(seg.first_ppn, seg.npages)
-        for ppn in list(self._note_registry):
-            if seg.contains(ppn):
-                del self._note_registry[ppn]
+        self.notes.drop_segment(seg.index)
 
     def _replay_note(self, header: OobHeader, note: Any) -> None:
         """Recovery hook: process one non-trim note (base FTL: none)."""
@@ -1081,7 +1266,7 @@ class VslDevice:
         self._recount_seg_valid()
 
     def live_note_count(self) -> int:
-        return len(self._note_registry)
+        return len(self.notes)
 
     @staticmethod
     def decode_registry_note(header: OobHeader, raw: bytes):

@@ -279,9 +279,12 @@ class NandDevice:
         ``site`` names this program for power-cut injection: a cut at
         ``site:pre`` leaves the page untouched, at ``site:mid`` leaves
         it torn (slot consumed, unreadable), at ``site:post`` leaves it
-        fully programmed with the acknowledgement lost.
+        fully programmed with the acknowledgement lost.  With no power
+        model armed (the common case) the checks — and the phased
+        site-name strings they would build — are skipped outright.
         """
-        self.power_check(site + ":pre")
+        if self.power is not None:
+            self.power_check(site + ":pre")
         die, channel = self._resources_for(ppn)
         if not channel.try_acquire():
             yield channel.acquire()
@@ -317,7 +320,8 @@ class NandDevice:
                 raise ProgramFailError(
                     f"program failed at ppn {ppn}{detail}")
         self.array.program(ppn, header, data)
-        self.power_check(site + ":post")
+        if self.power is not None:
+            self.power_check(site + ":post")
         if not die.try_acquire():  # lint: allow-unbalanced-acquire(die freed by the _ProgramFinish timer when the die-internal program completes)
             yield die.acquire()
         # The acquirer returns with the die busy; ownership moves to

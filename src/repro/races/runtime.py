@@ -46,13 +46,14 @@ def attach(kernel: Any, strict: bool = True) -> RaceDetector:
 
     Locks acquired *before* attach (lazy arming happens at the first
     instrumented access, which typically sits inside a lock span) are
-    reconstructed from the resources' holder lists so the first note
-    sees a truthful lockset.
+    reconstructed from the resources' holder counts so the first note
+    sees a truthful lockset (a unit held twice is released twice).
     """
     detector = RaceDetector(kernel, strict=strict)
     for resource in kernel._resources:
-        for holder in resource._holders:
-            detector.on_acquire(resource, holder)
+        for holder, units in resource._holders.items():
+            for _ in range(units):
+                detector.on_acquire(resource, holder)
     kernel._race_hooks = detector
     return detector
 

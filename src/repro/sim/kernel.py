@@ -135,7 +135,7 @@ class Process:
         self._gen.close()
         if sanitize.enabled:
             held = [res for res in self.kernel._resources
-                    if any(h is self for h in res._holders)]
+                    if self in res._holders]
             sanitize.check(
                 not held,
                 f"process {self.name!r} killed with resources still held: "
@@ -367,7 +367,8 @@ class Kernel:
                     entry["waits_on"] = res.describe()
                     entry["holders"] = [
                         h.name if h is not None else "<main>"
-                        for h in res._holders]
+                        for h, units in res._holders.items()
+                        for _ in range(units)]
             graph.append(entry)
         return graph
 

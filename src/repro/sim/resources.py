@@ -23,7 +23,7 @@ protocol instead of blaming the original acquirer.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, Deque, Dict, Tuple
 
 from repro.sim.kernel import Event, Kernel, SimError
 
@@ -40,8 +40,10 @@ class Resource:
         self.name = name
         self._in_use = 0
         # Current holders: the process (or None for the main thread /
-        # an anonymous hand-off) per held unit of capacity.
-        self._holders: List[Any] = []
+        # an anonymous hand-off) -> units of capacity it holds.  Dict
+        # order is first-acquisition order, so the first key is the
+        # oldest holder; grants and releases are O(1).
+        self._holders: Dict[Any, int] = {}
         # Parked acquirers: (event, process-at-call-time) in FIFO order.
         self._waiting: Deque[Tuple[Event, Any]] = deque()
         kernel._resources.append(self)
@@ -58,9 +60,6 @@ class Resource:
     def queue_depth(self) -> int:
         """Number of processes currently parked waiting for capacity."""
         return len(self._waiting)
-
-    def holder_names(self) -> List[str]:
-        return [h.name if h is not None else "<main>" for h in self._holders]
 
     def acquire(self) -> Event:
         """Return an event that triggers once a unit of capacity is held.
@@ -119,11 +118,13 @@ class Resource:
         if self._in_use <= 0:
             raise SimError(f"{self.describe()}: hand_off() while not held")
         self._ungrant(actor)
-        self._holders.append(None)
+        holders = self._holders
+        holders[None] = holders.get(None, 0) + 1
 
     # -- bookkeeping internals -------------------------------------------
     def _grant(self, actor: Any) -> None:
-        self._holders.append(actor)
+        holders = self._holders
+        holders[actor] = holders.get(actor, 0) + 1
         hooks = self.kernel._race_hooks
         if hooks is not None:
             hooks.on_acquire(self, actor)
@@ -131,20 +132,17 @@ class Resource:
     def _ungrant(self, actor: Any) -> None:
         # Releases normally come from the holder; a release on behalf
         # of an anonymous hand-off (or a foreign context) retires the
-        # anonymous unit first, then an arbitrary one.
+        # anonymous unit first, then the oldest holder's.
         holders = self._holders
-        released: Any = None
-        for candidate in (actor, None):
-            for i, h in enumerate(holders):
-                if h is candidate:
-                    released = holders.pop(i)
-                    break
-            else:
-                continue
-            break
-        else:
-            if holders:
-                released = holders.pop(0)
+        released = actor
+        count = holders.get(actor)
+        if count is None:
+            released = None if None in holders else next(iter(holders), None)
+            count = holders.get(released)
+        if count == 1:
+            del holders[released]
+        elif count is not None:
+            holders[released] = count - 1
         hooks = self.kernel._race_hooks
         if hooks is not None:
             hooks.on_release(self, released)
@@ -169,7 +167,7 @@ class Lock(Resource):
         return self._in_use > 0
 
     def _check_self_deadlock(self, actor: Any) -> None:
-        if actor is not None and any(h is actor for h in self._holders):
+        if actor is not None and actor in self._holders:
             raise SimError(
                 f"{self.describe()}: nested acquire by process "
                 f"{actor.name!r} which already holds it; this would "

@@ -4,6 +4,12 @@ import random
 
 import pytest
 
+from repro.core.cow_bitmap import merged_count_range
+from repro.core.iosnap import IoSnapConfig, IoSnapDevice
+from repro.ftl.fsck import fsck
+from repro.ftl.log import SegmentState
+from repro.nand.geometry import NandConfig, NandGeometry
+from repro.nand.oob import PageKind
 from repro.workloads.generators import Op, WRITE
 from repro.workloads.runner import run_stream
 
@@ -129,7 +135,7 @@ class TestCleaningWithSnapshots:
         for lba in range(1, pages):
             iosnap.write(lba, b"fill")
         seg = iosnap.log.segments[0]
-        assert any(seg.contains(ppn) for ppn in iosnap._note_registry)
+        assert any(seg.contains(ppn) for ppn in iosnap.notes)
         iosnap.cleaner.force_clean(seg)
         # The create note moved; a crash must still find the snapshot.
         iosnap.crash()
@@ -239,3 +245,145 @@ class TestPacingEstimates:
             device.write(lba, b"new")
         seg = device.log.segments[0]
         assert device._estimate_valid_count(seg) == 0
+
+
+# -- selection equivalence ----------------------------------------------------
+# Note kinds the cleaner preserves on an ioSnap device, spelled out here
+# so the reference below does not share the registry's definition.
+_REFERENCE_LIVE_NOTE_KINDS = (PageKind.NOTE_TRIM, PageKind.NOTE_SNAP_CREATE,
+                              PageKind.NOTE_SNAP_DELETE)
+
+
+def _media_live_notes(device):
+    """Live notes per segment from one media pass over the registry."""
+    array = device.nand.array
+    counts = {}
+    for ppn in device.notes:
+        if not array.is_programmed(ppn):
+            continue
+        if array.read_header(ppn).kind in _REFERENCE_LIVE_NOTE_KINDS:
+            index = ppn // device.log.segment_pages
+            counts[index] = counts.get(index, 0) + 1
+    return counts
+
+
+def _reference_pick(device, stripe=None):
+    """The full-rescan picker: every segment, every live epoch bitmap and
+    every registered note re-read on each pick, candidates in index
+    order, the first best score winning."""
+    log = device.log
+
+    def closed(only):
+        return [seg for seg in log.segments
+                if seg.state is SegmentState.CLOSED
+                and (only is None or log.stripe_of_segment(seg.index) == only)]
+
+    newest_seq = max((seg.seq for seg in closed(None)), default=0)
+    notes = _media_live_notes(device)
+    bitmaps = [bitmap for _epoch, bitmap in device.live_epoch_bitmaps()]
+    best, best_score = None, None
+    for seg in closed(stripe):
+        if seg.index in device.cleaner._cleaning:
+            continue
+        occupied = (merged_count_range(bitmaps, seg.first_ppn, seg.npages)
+                    + notes.get(seg.index, 0)
+                    + device._map_pages_in_segment(seg))
+        if occupied >= seg.data_capacity:
+            continue
+        if device.config.gc_policy == "greedy":
+            score = -occupied
+        else:
+            u = occupied / seg.data_capacity
+            age = newest_seq - seg.seq + 1
+            score = (1.0 - u) * age / (1.0 + u)
+        if best_score is None or score > best_score:
+            best, best_score = seg, score
+    return best
+
+
+class TestSelectionEquivalence:
+    """``select_candidate`` picks exactly what the full rescan picks."""
+
+    @staticmethod
+    def _device(kernel, policy, stripes):
+        geometry = NandGeometry(page_size=4096, pages_per_block=16,
+                                blocks_per_die=16, dies=4, channels=stripes)
+        return IoSnapDevice.create(
+            kernel, NandConfig(geometry=geometry),
+            IoSnapConfig(gc_policy=policy, parallel_heads=0,
+                         snapshot_limit=3, snapshot_auto_delete=True))
+
+    @staticmethod
+    def _assert_equivalent(device, picks):
+        # Let in-flight background cleans finish first: mid-append, the
+        # media is already ahead of the structures fsck audits.
+        device.kernel.run()
+        stripes = [None] + list(range(device.log.num_stripes))
+        for stripe in stripes:
+            chosen = device.cleaner.select_candidate(stripe)
+            expected = _reference_pick(device, stripe)
+            assert (chosen and chosen.index) == (expected and expected.index), \
+                f"stripe {stripe}"
+            picks.append(chosen)
+        live = {index: count
+                for index, count in enumerate(device.notes.live_by_segment)
+                if count}
+        assert live == _media_live_notes(device)
+        assert fsck(device) == []
+
+    @staticmethod
+    def _churn(device, rng, count, span=120):
+        for i in range(count):
+            device.write(rng.randrange(span), bytes([i % 256]))
+
+    @pytest.mark.parametrize("stripes", [1, 4])
+    @pytest.mark.parametrize("policy", ["greedy", "cost_benefit"])
+    def test_same_victim_through_the_lifecycle(self, kernel, policy,
+                                               stripes):
+        rng = random.Random(stripes * 10 + len(policy))
+        device = self._device(kernel, policy, stripes)
+        picks = []
+        self._churn(device, rng, 600)
+        self._assert_equivalent(device, picks)
+        # snapshot create; activate/deactivate leave notes that die
+        # with their segment instead of being copied forward
+        device.snapshot_create("a")
+        device.snapshot_deactivate(device.snapshot_activate("a"))
+        self._churn(device, rng, 300)
+        self._assert_equivalent(device, picks)
+        # snapshot delete
+        device.snapshot_create("b")
+        self._churn(device, rng, 200)
+        device.snapshot_delete("a")
+        self._assert_equivalent(device, picks)
+        # retention auto-delete
+        for name in ("c", "d", "e"):
+            device.snapshot_create(name)
+            self._churn(device, rng, 150)
+        assert device.snap_metrics.auto_deletes > 0
+        self._assert_equivalent(device, picks)
+        # trim
+        for lba in range(0, 120, 3):
+            device.trim(lba)
+        self._assert_equivalent(device, picks)
+        # clean
+        for _ in range(3):
+            candidate = device.cleaner.select_candidate()
+            if candidate is None:
+                break
+            device.cleaner.force_clean(candidate)
+            self._assert_equivalent(device, picks)
+        # crash + reopen through log recovery
+        device.crash()
+        device = IoSnapDevice.open(kernel, device.nand)
+        self._assert_equivalent(device, picks)
+        self._churn(device, rng, 200)
+        self._assert_equivalent(device, picks)
+        # clean shutdown + checkpoint restore
+        device.shutdown()
+        device = IoSnapDevice.open(kernel, device.nand)
+        self._assert_equivalent(device, picks)
+        self._churn(device, rng, 200)
+        self._assert_equivalent(device, picks)
+        assert device.cleaner.segments_cleaned > 0
+        assert sum(pick is not None for pick in picks) > len(picks) // 2

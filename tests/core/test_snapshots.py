@@ -22,7 +22,7 @@ class TestCreate:
         iosnap.snapshot_create()
         notes = [
             iosnap.nand.array.read_header(ppn)
-            for ppn in iosnap._note_registry
+            for ppn in iosnap.notes
         ]
         assert any(h.kind is PageKind.NOTE_SNAP_CREATE for h in notes)
         assert iosnap.nand.stats.page_programs > before

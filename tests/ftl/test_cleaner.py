@@ -71,10 +71,10 @@ class TestForcedClean:
         for lba in range(1, pages):
             device.write(lba, b"y")
         seg = device.log.segments[0]
-        assert any(seg.contains(ppn) for ppn in device._note_registry)
+        assert any(seg.contains(ppn) for ppn in device.notes)
         device.cleaner.force_clean(seg)
         assert device.live_note_count() == 1
-        assert not any(seg.contains(ppn) for ppn in device._note_registry)
+        assert not any(seg.contains(ppn) for ppn in device.notes)
 
     def test_clean_updates_validity(self, kernel, device):
         fill_segment_zero(kernel, device)

@@ -99,7 +99,7 @@ class TestCorruptionDetected:
     def test_bogus_note_registry_entry(self, vsl):
         from repro.ftl.packet import TrimNote
         vsl.write(0, b"x")
-        vsl._note_registry[vsl.nand.geometry.total_pages - 1] = TrimNote(0)
+        vsl.notes.register(vsl.nand.geometry.total_pages - 1, TrimNote(0))
         assert any("F5" in v for v in fsck(vsl))
 
     def test_active_bitmap_drift(self, kernel, iosnap):

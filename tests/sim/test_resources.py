@@ -286,3 +286,154 @@ def test_kill_sanitizer_accepts_hand_off(kernel):
         sanitize.enable(previous)
     assert res.in_use == 1             # still held by the protocol
     res.release()
+
+
+# -- holder bookkeeping (actor -> units held) --------------------------------
+def test_nested_lock_acquire_raises_after_prior_release_cycle(kernel):
+    lock = Lock(kernel, name="relock")
+
+    def proc():
+        yield lock.acquire()
+        lock.release()
+        yield lock.acquire()           # a fresh hold: fine
+        yield lock.acquire()           # nested: raises
+
+    p = kernel.spawn(proc(), name="relocker")
+    p._error_observed = True
+
+    def joiner():
+        yield p
+
+    with pytest.raises(SimError, match="nested acquire.*relocker"):
+        kernel.run_process(joiner())
+
+
+def test_foreign_release_after_hand_off_retires_anonymous_unit(kernel):
+    res = Resource(kernel, capacity=2, name="die")
+
+    def hander():
+        yield res.acquire()
+        res.hand_off()                 # unit 1: now anonymous
+        yield 5
+
+    def keeper():
+        yield res.acquire()            # unit 2: held by "keeper"
+        yield 1000
+        res.release()
+
+    kernel.spawn(hander(), name="hander")
+    keeper_proc = kernel.spawn(keeper(), name="keeper")
+    kernel.run(until=10)
+    assert res._holders == {None: 1, keeper_proc: 1}
+    res.release()                      # foreign context (main thread)
+    assert res._holders == {keeper_proc: 1}   # anonymous unit went first
+    kernel.run()
+    assert res._holders == {} and res.in_use == 0
+
+
+def test_capacity_n_resource_held_twice_by_one_actor(kernel):
+    res = Resource(kernel, capacity=3, name="slots")
+    seen = []
+
+    def double():
+        yield res.acquire()
+        yield res.acquire()
+        seen.append(dict(res._holders))
+        res.release()
+        seen.append(dict(res._holders))
+        res.release()
+
+    proc = kernel.spawn(double(), name="double")
+    kernel.run()
+    assert seen == [{proc: 2}, {proc: 1}]
+    assert res._holders == {} and res.in_use == 0
+
+
+def test_release_without_own_or_anonymous_unit_retires_oldest(kernel):
+    res = Resource(kernel, capacity=2, name="pool")
+
+    def holder(delay):
+        yield delay
+        yield res.acquire()
+        yield 1000
+        res.release()
+
+    first = kernel.spawn(holder(1), name="first")
+    second = kernel.spawn(holder(2), name="second")
+    kernel.run(until=10)
+    assert list(res._holders) == [first, second]
+    res.release()                      # main thread holds nothing
+    assert res._holders == {second: 1}
+
+
+def test_attach_rebuilds_lockset_with_counts(kernel):
+    from repro.races import runtime
+
+    head = Lock(kernel, name="log.head:user")
+    alloc = Lock(kernel, name="log.free")
+    slots = Resource(kernel, capacity=2, name="slots")  # not a lock
+    observed = []
+
+    def holder():
+        yield head.acquire()
+        yield alloc.acquire()
+        yield slots.acquire()
+        yield slots.acquire()
+        detector = runtime.attach(kernel, strict=False)
+        try:
+            me = kernel.current
+            observed.append(dict(detector._locks[me]))
+            alloc.release()
+            observed.append(detector.lockset_of(me))
+            head.release()
+            observed.append(detector.lockset_of(me))
+        finally:
+            slots.release()
+            slots.release()
+            runtime.detach(kernel)
+
+    kernel.run_process(holder(), name="holder")
+    assert observed == [{"log.head:user": 1, "log.free": 1},
+                        frozenset({"log.head:user"}), frozenset()]
+
+
+def test_deadlock_report_names_every_unit_holder(kernel):
+    res = Resource(kernel, capacity=2, name="pair")
+
+    def double():
+        yield res.acquire()
+        yield res.acquire()
+        yield kernel.event()           # parks forever holding both
+
+    def waiter():
+        yield 5                        # let "double" take both units
+        yield res.acquire()
+
+    kernel.spawn(double(), name="double")
+    blocked = kernel.spawn(waiter(), name="waiter")
+    blocked._error_observed = True
+    kernel.run()
+    graph = {entry["process"]: entry for entry in kernel.waits_for_graph()}
+    assert graph["waiter"]["waits_on"] == "Resource 'pair'"
+    assert graph["waiter"]["holders"] == ["double", "double"]
+
+
+def test_kill_sanitizer_names_multi_unit_holder(kernel):
+    from repro import sanitize
+    from repro.errors import SanitizerError
+
+    res = Resource(kernel, capacity=2, name="twice")
+
+    def leaky():
+        yield res.acquire()
+        yield res.acquire()
+        yield 1000                     # no finally: both units leak
+
+    proc = kernel.spawn(leaky(), name="leaky2")
+    kernel.run(until=10)
+    previous = sanitize.enable(True)
+    try:
+        with pytest.raises(SanitizerError, match="leaky2.*twice"):
+            proc.kill()
+    finally:
+        sanitize.enable(previous)

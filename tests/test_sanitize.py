@@ -111,7 +111,7 @@ class TestEndToEnd:
             dev.write(lba, b"x")
         seg = dev.log.segments[0]
         dev._estimate_valid_count(seg)          # populate the cache
-        cache = dev._merged_valid_cache()
+        cache, _bitmaps = dev._merged_valid_cache()
         cache[seg.index] = cache[seg.index] + 5  # corrupt it
         with pytest.raises(SanitizerError, match="cache stale"):
             dev._estimate_valid_count(seg)
