@@ -3,7 +3,16 @@
 See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 paper-vs-measured results.  Each ``exp_*`` function is self-contained
 and returns an :class:`~repro.bench.harness.ExperimentResult`.
+
+:data:`GUARDS` registers the fast-path regression guards beside the
+paper experiments.  Each guard module's ``run(smoke=False)`` returns an
+``ExperimentResult`` whose checks are its floors; the modules are
+imported on first run, so importing this package stays as cheap as
+the experiments alone.
 """
+
+from importlib import import_module
+from typing import Callable, Dict
 
 from repro.bench.configs import (
     bench_ftl_config,
@@ -53,10 +62,24 @@ ALL_EXPERIMENTS = {
     "recovery_time": exp_recovery_time,
 }
 
+
+def _guard(module: str) -> Callable[..., ExperimentResult]:
+    def run(smoke: bool = False) -> ExperimentResult:
+        return import_module(f"repro.bench.{module}").run(smoke)
+    return run
+
+
+GUARDS: Dict[str, Callable[..., ExperimentResult]] = {
+    name: _guard(name)
+    for name in ("perfguard", "activation_guard", "parallel_guard",
+                 "races_guard", "replicate_guard", "mapcache_guard")
+}
+
 __all__ = [
     "ALL_EXPERIMENTS",
     "Check",
     "ExperimentResult",
+    "GUARDS",
     "Table",
     "bench_ftl_config",
     "bench_iosnap_config",

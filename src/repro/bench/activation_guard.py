@@ -19,24 +19,10 @@ much log each mode read.  The guard asserts the warm path is >= 5x and
 the cold selective path >= 2x faster than the full scan, that segments
 were actually skipped (not just that wall-clock moved), and that all
 three modes resolve the same number of blocks.
-
-Usage::
-
-    python -m repro.bench.activation_guard                   # full run
-    python -m repro.bench.activation_guard --smoke           # CI-sized
-    python -m repro.bench.activation_guard --out BENCH.json  # output
-
-Results are written as JSON (default ``BENCH_PR4.json``), the activation
-counterpart of perfguard's ``BENCH_PR1.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
 from typing import Dict
 
@@ -45,6 +31,7 @@ from repro.bench.configs import (
     bench_nand,
     medium_geometry,
 )
+from repro.bench.harness import ExperimentResult, Table
 from repro.core.iosnap import IoSnapDevice
 from repro.sim import Kernel
 from repro.sim.stats import NS_PER_MS
@@ -80,7 +67,10 @@ def _activate_once(device, name: str) -> Dict:
     return report
 
 
-def run(smoke: bool = False) -> Dict:
+def run(smoke: bool = False) -> ExperimentResult:
+    result = ExperimentResult(
+        "activation_guard", "Activation fast paths: full vs selective vs "
+        "warm delta scan" + (" (smoke)" if smoke else ""))
     pages = 256 if smoke else 1024
     snapshots = 4 if smoke else 5
     kernel, device = _build_fig8_device(pages, snapshots)
@@ -103,75 +93,42 @@ def run(smoke: bool = False) -> Dict:
     run_stream(kernel, device, random_writes(32, device.num_lbas, seed=97))
     warm = _activate_once(device, target)
 
+    table = Table(["run", "sim (ms)", "mode", "pages scanned",
+                   "segments skipped", "entries"])
+    for label, entry in (("full", full), ("selective", selective),
+                         ("warm", warm)):
+        table.add_row(label, entry["total_ns"] / NS_PER_MS, entry["mode"],
+                      entry["pages_scanned"], entry["segments_skipped"],
+                      entry["entries"])
+    result.add_table(table)
+
     warm_speedup = full["total_ns"] / max(1, warm["total_ns"])
     cold_speedup = full["total_ns"] / max(1, selective["total_ns"])
-    checks = {
-        "modes": (full["mode"] == "full"
-                  and selective["mode"] == "selective"
-                  and warm["mode"] == "delta"),
-        "selective_skips_segments": selective["segments_skipped"] > 0,
-        "warm_skips_segments": warm["segments_skipped"] > 0,
-        "warm_reads_less": warm["pages_scanned"] < full["pages_scanned"],
-        "same_entries": (full["entries"] == selective["entries"]
-                         == warm["entries"]),
-        "warm_speedup": warm_speedup >= WARM_SPEEDUP_FLOOR,
-        "cold_speedup": cold_speedup >= COLD_SPEEDUP_FLOOR,
-    }
-    return {
-        "suite": "activation_guard",
-        "smoke": smoke,
-        "machine": {
-            "python": sys.version.split()[0],
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
-        },
-        "workload": {"pages_per_snapshot": pages, "snapshots": snapshots,
-                     "target": target},
-        "full": full,
-        "selective": selective,
-        "warm": warm,
-        "warm_speedup": warm_speedup,
-        "cold_speedup": cold_speedup,
-        "counters": device.activation_counters.as_dict(),
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.activation_guard",
-        description="Activation fast-path regression guard.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (smaller fig8 workload)")
-    parser.add_argument("--out", default="BENCH_PR4.json",
-                        help="output JSON path (default: BENCH_PR4.json)")
-    args = parser.parse_args(argv)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):
-        parser.error(f"--out directory does not exist: {out_dir}")
-
-    report = run(smoke=args.smoke)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    for mode in ("full", "selective", "warm"):
-        entry = report[mode]
-        print(f"{mode:10s} {entry['total_ns'] / NS_PER_MS:9.2f} ms "
-              f"(mode={entry['mode']}, "
-              f"pages_scanned={entry['pages_scanned']}, "
-              f"segments_skipped={entry['segments_skipped']})")
-    print(f"cold selective speedup {report['cold_speedup']:.1f}x "
-          f"(floor {COLD_SPEEDUP_FLOOR}x)")
-    print(f"warm delta speedup     {report['warm_speedup']:.1f}x "
-          f"(floor {WARM_SPEEDUP_FLOOR}x)")
-    for name, ok in report["checks"].items():
-        if not ok:
-            print(f"FAIL: {name}")
-    print(f"wrote {os.path.abspath(args.out)}")
-    return 0 if report["passed"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    modes = (full["mode"], selective["mode"], warm["mode"])
+    result.check("modes are full / selective / delta",
+                 modes == ("full", "selective", "delta"), "/".join(modes))
+    result.check("cold selective scan skips segments",
+                 selective["segments_skipped"] > 0,
+                 f"{selective['segments_skipped']} skipped")
+    result.check("warm re-activation skips segments",
+                 warm["segments_skipped"] > 0,
+                 f"{warm['segments_skipped']} skipped")
+    result.check("warm re-activation reads less log than the full scan",
+                 warm["pages_scanned"] < full["pages_scanned"],
+                 f"{warm['pages_scanned']} vs {full['pages_scanned']} pages")
+    result.check("all three modes resolve the same entries",
+                 full["entries"] == selective["entries"] == warm["entries"],
+                 f"{full['entries']}/{selective['entries']}/"
+                 f"{warm['entries']}")
+    result.check(f"warm delta speedup >= {WARM_SPEEDUP_FLOOR}x",
+                 warm_speedup >= WARM_SPEEDUP_FLOOR, f"{warm_speedup:.1f}x")
+    result.check(f"cold selective speedup >= {COLD_SPEEDUP_FLOOR}x",
+                 cold_speedup >= COLD_SPEEDUP_FLOOR, f"{cold_speedup:.1f}x")
+    result.data.update(
+        smoke=smoke,
+        workload={"pages_per_snapshot": pages, "snapshots": snapshots,
+                  "target": target},
+        full=full, selective=selective, warm=warm,
+        warm_speedup=warm_speedup, cold_speedup=cold_speedup,
+        counters=device.activation_counters.as_dict())
+    return result

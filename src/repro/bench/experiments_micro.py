@@ -286,7 +286,7 @@ def exp_fig8(data_sizes: Tuple[int, ...] = (64, 256, 1024, 2048),
         # always scans the whole log — its shape checks (scan phase is
         # constant for a fixed log size) only hold for full scans.  The
         # selective/delta acceleration is measured separately by the
-        # activation perfguard (BENCH_PR4).
+        # activation_guard.
         device = IoSnapDevice.create(kernel, bench_nand(medium_geometry()),
                                      bench_iosnap_config(
                                          selective_scan=False))

@@ -16,23 +16,10 @@ module pins both:
   run at >= ``THROUGHPUT_FLOOR`` of the all-RAM map's simulated
   throughput on identical hardware — after warm-up every translation
   touch is a hit, so the cache may not tax the hot path.
-
-Usage::
-
-    python -m repro.bench.mapcache_guard                   # full run
-    python -m repro.bench.mapcache_guard --smoke           # CI-sized
-    python -m repro.bench.mapcache_guard --out BENCH.json  # output
-
-Results are written as JSON (default ``BENCH_PR9.json``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 from typing import Dict
 
 from repro.bench.configs import (
@@ -41,6 +28,7 @@ from repro.bench.configs import (
     medium_geometry,
     small_geometry,
 )
+from repro.bench.harness import ExperimentResult, Table
 from repro.core.iosnap import IoSnapDevice
 from repro.ftl.mapcache import (
     _BYTES_PER_ENTRY,
@@ -132,7 +120,10 @@ def _hot_run(geometry, cached: bool, ops: int) -> Dict:
     return out
 
 
-def run(smoke: bool = False) -> Dict:
+def run(smoke: bool = False) -> ExperimentResult:
+    result = ExperimentResult(
+        "mapcache_guard", "Flash-resident map: bounded RAM, hot-set "
+        "throughput" + (" (smoke)" if smoke else ""))
     fraction = 0.12 if smoke else 0.25
     hot_ops = 1500 if smoke else 6000
 
@@ -144,91 +135,53 @@ def run(smoke: bool = False) -> Dict:
     cached_hot = _hot_run(small_geometry(), cached=True, ops=hot_ops)
     throughput_ratio = (ram_hot["elapsed_ns"]
                         / max(1, cached_hot["elapsed_ns"]))
+    hit_rate = cached_hot["map"]["hit_rate"]
 
-    checks = {
-        "small_resident_within_budget":
-            small["resident_pages"] <= BUDGET_PAGES,
-        "medium_resident_within_budget":
-            medium["resident_pages"] <= BUDGET_PAGES,
-        "small_ram_within_declared_budget":
-            small["memory_bytes"] <= small["declared_budget_bytes"],
-        "medium_ram_within_declared_budget":
-            medium["memory_bytes"] <= medium["declared_budget_bytes"],
-        "map_ram_scales_sublinearly":
-            medium["memory_bytes"]
-            <= SCALING_CEILING * small["memory_bytes"],
-        "cached_beats_ram_map_memory":
-            medium["memory_bytes"] * 2 <= ram_medium,
-        "hot_set_hit_rate":
-            cached_hot["map"]["hit_rate"] >= HIT_RATE_FLOOR,
-        "hot_set_throughput":
-            throughput_ratio >= THROUGHPUT_FLOOR,
-    }
-    return {
-        "suite": "mapcache_guard",
-        "smoke": smoke,
-        "machine": {
-            "python": sys.version.split()[0],
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
-        },
-        "config": {"budget_pages": BUDGET_PAGES, "span": SPAN,
-                   "fill_fraction": fraction, "hot_ops": hot_ops},
-        "memory": {"small": small, "medium": medium,
-                   "ram_medium_bytes": ram_medium},
-        "hot": {"ram": ram_hot, "cached": cached_hot,
-                "throughput_ratio": throughput_ratio},
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
+    table = Table(["device", "map RAM (B)", "budget (B)", "resident",
+                   "LBAs mapped"])
+    for name, probe in (("small", small), ("medium", medium)):
+        table.add_row(name, probe["memory_bytes"],
+                      probe["declared_budget_bytes"],
+                      f"{probe['resident_pages']}/{BUDGET_PAGES}",
+                      probe["mapped_lbas"])
+    table.add_row("medium all-RAM", ram_medium, "-", "-", "-")
+    result.add_table(table)
+    for name, probe in (("small", small), ("medium", medium)):
+        stats = probe["stats"]
+        result.add_line(
+            f"{name:7s} hits={stats['hits']} misses={stats['misses']} "
+            f"hit_rate={stats['hit_rate']:.3f} "
+            f"evictions={stats['evictions']} "
+            f"writebacks={stats['writebacks']} "
+            f"sync_faults={stats['sync_faults']} "
+            f"relocations={stats['relocations']}")
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.mapcache_guard",
-        description="Flash-resident map memory/throughput guard.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (smaller fill and hot mix)")
-    parser.add_argument("--profile", action="store_true",
-                        help="print full cache counters per probe")
-    parser.add_argument("--out", default="BENCH_PR9.json",
-                        help="output JSON path (default: BENCH_PR9.json)")
-    args = parser.parse_args(argv)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):
-        parser.error(f"--out directory does not exist: {out_dir}")
-
-    report = run(smoke=args.smoke)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    memory = report["memory"]
-    for name in ("small", "medium"):
-        probe = memory[name]
-        print(f"{name:7s} map RAM {probe['memory_bytes']:>8d} B "
-              f"(budget {probe['declared_budget_bytes']} B, "
-              f"resident {probe['resident_pages']}/{BUDGET_PAGES}, "
-              f"{probe['mapped_lbas']} LBAs mapped)")
-        if args.profile:
-            stats = probe["stats"]
-            print(f"        hits={stats['hits']} misses={stats['misses']} "
-                  f"hit_rate={stats['hit_rate']:.3f} "
-                  f"evictions={stats['evictions']} "
-                  f"writebacks={stats['writebacks']} "
-                  f"sync_faults={stats['sync_faults']} "
-                  f"relocations={stats['relocations']}")
-    print(f"all-RAM medium map     {memory['ram_medium_bytes']:>8d} B")
-    hot = report["hot"]
-    print(f"hot-set throughput ratio {hot['throughput_ratio']:.3f} "
-          f"(floor {THROUGHPUT_FLOOR}), "
-          f"hit rate {hot['cached']['map']['hit_rate']:.3f}")
-    for name, ok in report["checks"].items():
-        if not ok:
-            print(f"FAIL: {name}")
-    print(f"wrote {os.path.abspath(args.out)}")
-    return 0 if report["passed"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    for name, probe in (("small", small), ("medium", medium)):
+        result.check(f"{name}: resident pages within the budget",
+                     probe["resident_pages"] <= BUDGET_PAGES,
+                     f"{probe['resident_pages']}/{BUDGET_PAGES}")
+    for name, probe in (("small", small), ("medium", medium)):
+        result.check(f"{name}: map RAM within the declared budget",
+                     probe["memory_bytes"] <= probe["declared_budget_bytes"],
+                     f"{probe['memory_bytes']} <= "
+                     f"{probe['declared_budget_bytes']} B")
+    growth = medium["memory_bytes"] / max(1, small["memory_bytes"])
+    result.check(f"8x device costs <= {SCALING_CEILING}x map RAM",
+                 growth <= SCALING_CEILING, f"{growth:.2f}x")
+    result.check("cached map at most half the all-RAM map",
+                 medium["memory_bytes"] * 2 <= ram_medium,
+                 f"{medium['memory_bytes']} vs {ram_medium} B")
+    result.check(f"hot-set hit rate >= {HIT_RATE_FLOOR}",
+                 hit_rate >= HIT_RATE_FLOOR, f"{hit_rate:.3f}")
+    result.check(f"hot-set throughput >= {THROUGHPUT_FLOOR}x all-RAM",
+                 throughput_ratio >= THROUGHPUT_FLOOR,
+                 f"{throughput_ratio:.3f}x")
+    result.data.update(
+        smoke=smoke,
+        config={"budget_pages": BUDGET_PAGES, "span": SPAN,
+                "fill_fraction": fraction, "hot_ops": hot_ops},
+        memory={"small": small, "medium": medium,
+                "ram_medium_bytes": ram_medium},
+        hot={"ram": ram_hot, "cached": cached_hot,
+             "throughput_ratio": throughput_ratio})
+    return result

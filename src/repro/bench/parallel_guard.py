@@ -11,29 +11,15 @@ The guard is the CI regression floor for the multi-queue data path:
 4 channels must deliver at least ``SPEEDUP_FLOORS[4]`` (3x) the
 single-channel throughput, and the per-head append totals must stay
 balanced (no head starved by the striped allocator).
-
-Usage::
-
-    python -m repro.bench.parallel_guard                   # full run
-    python -m repro.bench.parallel_guard --smoke           # CI-sized
-    python -m repro.bench.parallel_guard --profile         # + queue stats
-    python -m repro.bench.parallel_guard --out BENCH.json  # output
-
-Results are written as JSON (default ``BENCH_PR6.json``), the parallel
-counterpart of perfguard's ``BENCH_PR1.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
 from typing import Dict
 
 from repro.bench.configs import bench_iosnap_config, bench_nand
+from repro.bench.harness import ExperimentResult, Table
 from repro.core.iosnap import IoSnapDevice
 from repro.nand.geometry import NandGeometry
 from repro.sim import Kernel
@@ -102,74 +88,43 @@ def _measure(channels: int, pages: int) -> Dict:
     }
 
 
-def run(smoke: bool = False) -> Dict:
+def run(smoke: bool = False) -> ExperimentResult:
+    result = ExperimentResult(
+        "parallel_guard", "Parallel log heads: write throughput vs channels"
+        + (" (smoke)" if smoke else ""))
     pages = 1024 if smoke else 8192
     rows = {c: _measure(c, pages) for c in CHANNELS}
     base = rows[1]["throughput_mb_s"]
     speedups = {c: rows[c]["throughput_mb_s"] / base for c in CHANNELS}
-    checks = {}
+
+    table = Table(["channels", "user heads", "MB/s", "speedup", "floor",
+                   "balance"])
+    for c in CHANNELS:
+        floor = SPEEDUP_FLOORS.get(c)
+        table.add_row(c, rows[c]["user_heads"],
+                      f"{rows[c]['throughput_mb_s']:.1f}",
+                      f"{speedups[c]:.2f}x", f"{floor}x" if floor else "-",
+                      f"{rows[c]['stripe_balance']:.2f}")
+    result.add_table(table)
+    for c in CHANNELS:
+        result.add_line(f"{c} ch  per-head appends "
+                        f"{rows[c]['per_head_appends']}, max queue depth "
+                        f"per die {rows[c]['queue_depth_max']}")
+
     for c, floor in SPEEDUP_FLOORS.items():
-        checks[f"speedup_{c}ch"] = speedups[c] >= floor
+        result.check(f"{c}-channel speedup >= {floor}x",
+                     speedups[c] >= floor, f"{speedups[c]:.2f}x")
     for c in CHANNELS:
         if rows[c]["user_heads"] > 1:
-            checks[f"balance_{c}ch"] = \
-                rows[c]["stripe_balance"] >= BALANCE_FLOOR
-    checks["heads_track_channels"] = all(
-        rows[c]["user_heads"] == c for c in CHANNELS)
-    return {
-        "suite": "parallel_guard",
-        "smoke": smoke,
-        "machine": {
-            "python": sys.version.split()[0],
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
-        },
-        "workload": {"pages": pages, "pattern": "random_writes", "seed": 61},
-        "rows": {str(c): rows[c] for c in CHANNELS},
-        "speedups": {str(c): speedups[c] for c in CHANNELS},
-        "floors": {str(c): SPEEDUP_FLOORS[c] for c in SPEEDUP_FLOORS},
-        "balance_floor": BALANCE_FLOOR,
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.parallel_guard",
-        description="Parallel log-head saturation regression guard.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (fewer pages per sweep point)")
-    parser.add_argument("--profile", action="store_true",
-                        help="print per-head and per-die queue statistics")
-    parser.add_argument("--out", default="BENCH_PR6.json",
-                        help="output JSON path (default: BENCH_PR6.json)")
-    args = parser.parse_args(argv)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):
-        parser.error(f"--out directory does not exist: {out_dir}")
-
-    report = run(smoke=args.smoke)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    for c in CHANNELS:
-        row = report["rows"][str(c)]
-        floor = SPEEDUP_FLOORS.get(c)
-        floor_txt = f" (floor {floor}x)" if floor else ""
-        print(f"{c} ch  {row['throughput_mb_s']:8.1f} MB/s  "
-              f"{report['speedups'][str(c)]:5.2f}x{floor_txt}  "
-              f"balance={row['stripe_balance']:.2f}")
-        if args.profile:
-            print(f"      per-head appends: {row['per_head_appends']}")
-            print(f"      max queue depth per die: {row['queue_depth_max']}")
-    for name, ok in report["checks"].items():
-        if not ok:
-            print(f"FAIL: {name}")
-    print(f"wrote {os.path.abspath(args.out)}")
-    return 0 if report["passed"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+            balance = rows[c]["stripe_balance"]
+            result.check(f"{c}-channel head balance >= {BALANCE_FLOOR}",
+                         balance >= BALANCE_FLOOR, f"{balance:.2f}")
+    result.check("one user head per channel",
+                 all(rows[c]["user_heads"] == c for c in CHANNELS),
+                 "heads " + "/".join(str(rows[c]["user_heads"])
+                                     for c in CHANNELS))
+    result.data.update(
+        smoke=smoke,
+        workload={"pages": pages, "pattern": "random_writes", "seed": 61},
+        rows=rows, speedups=speedups)
+    return result

@@ -16,31 +16,17 @@ of the simulator.  This module pins them down two ways:
 ``PERF_COUNTERS`` (from :mod:`repro.ftl.validity`) is sampled around
 the end-to-end benches: production paths must drive the ``word_*``
 counters and must never touch ``bit_fallback`` (only the naive
-reference increments it), which is also asserted by
-``benchmarks/test_perfguard_fastpath.py``.
-
-Usage::
-
-    python -m repro.bench.perfguard                   # full run
-    python -m repro.bench.perfguard --smoke           # CI-sized run
-    python -m repro.bench.perfguard --out BENCH.json  # choose output
-
-The results are written as JSON (default ``BENCH_PR1.json`` in the
-current directory) including the seed-commit wall-clock reference for
-the end-to-end experiments, so speedups stay attributable.
+reference increments it).  Each of these is a named check of
+:func:`run`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
-import sys
 import time
 from typing import Callable, Dict, Iterator, List
 
+from repro.bench.harness import ExperimentResult, Table
 from repro.ftl.validity import (
     PERF_COUNTERS,
     ValidityBitmap,
@@ -48,11 +34,10 @@ from repro.ftl.validity import (
     reset_perf_counters,
 )
 
-# Wall-clock of the end-to-end experiments at the seed commit, measured
-# on the same machine/methodology as run() uses (best of 1, warm
-# imports).  Re-measure when moving machines: the ratios are the
-# meaningful part, not the absolute seconds.
-SEED_REFERENCE = {"table4_s": 0.0527, "fig12_s": 1.9243}
+# Required word-engine speedup over the per-bit reference, per micro
+# operation.  Real speedups are 10x-700x; 5x trips only when a path
+# falls back to per-bit work.
+MICRO_SPEEDUP_FLOOR = 5.0
 
 
 class NaiveBitmap:
@@ -241,11 +226,8 @@ def bench_cleaner_pass(smoke: bool = False) -> Dict:
         device.cleaner.force_clean(candidate)
         cleaned += 1
     elapsed = time.perf_counter() - started
-    counters = dict(PERF_COUNTERS)
     return {"wall_s": elapsed, "segments_cleaned": cleaned,
-            "counters": counters,
-            "fast_path_only": counters["bit_fallback"] == 0
-            and counters["word_iter"] > 0}
+            "counters": dict(PERF_COUNTERS)}
 
 
 def bench_activation_scan(smoke: bool = False) -> Dict:
@@ -256,9 +238,7 @@ def bench_activation_scan(smoke: bool = False) -> Dict:
     activated = device.snapshot_activate("perfguard-snap")
     elapsed = time.perf_counter() - started
     activated.deactivate()
-    counters = dict(PERF_COUNTERS)
-    return {"wall_s": elapsed, "counters": counters,
-            "fast_path_only": counters["bit_fallback"] == 0}
+    return {"wall_s": elapsed, "counters": dict(PERF_COUNTERS)}
 
 
 def bench_kernel_throughput(smoke: bool = False) -> Dict:
@@ -287,97 +267,59 @@ def bench_kernel_throughput(smoke: bool = False) -> Dict:
             "events_per_s": events / elapsed if elapsed else float("inf")}
 
 
-def bench_end_to_end(smoke: bool = False) -> Dict:
-    """Wall-clock of the seed-referenced experiments (table4, fig12)."""
-    from repro.bench import exp_fig12, exp_table4
-
-    out: Dict = {}
-    started = time.perf_counter()
-    table4 = exp_table4()
-    out["table4"] = {"now_s": time.perf_counter() - started,
-                     "seed_s": SEED_REFERENCE["table4_s"],
-                     "passed": table4.passed()}
-    out["table4"]["speedup"] = (out["table4"]["seed_s"]
-                                / out["table4"]["now_s"])
-    if not smoke:
-        started = time.perf_counter()
-        fig12 = exp_fig12()
-        out["fig12"] = {"now_s": time.perf_counter() - started,
-                        "seed_s": SEED_REFERENCE["fig12_s"],
-                        "passed": fig12.passed()}
-        out["fig12"]["speedup"] = (out["fig12"]["seed_s"]
-                                   / out["fig12"]["now_s"])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-def run(smoke: bool = False) -> Dict:
+def _counters_text(counters: Dict[str, int]) -> str:
+    return " ".join(f"{name}={value}"
+                    for name, value in sorted(counters.items()))
+
+
+def run(smoke: bool = False) -> ExperimentResult:
+    result = ExperimentResult(
+        "perfguard", "Word-level bitmap engine and kernel fast paths"
+        + (" (smoke)" if smoke else ""))
     reset_perf_counters()
-    report = {
-        "suite": "perfguard",
-        "smoke": smoke,
-        "machine": {
-            "python": sys.version.split()[0],
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
-        },
-        "micro": {
-            "bitmap_merge": bench_bitmap_merge(smoke),
-            "bitmap_count": bench_bitmap_count(smoke),
-            "bitmap_iter": bench_bitmap_iter(smoke),
-        },
-        "cleaner_pass": bench_cleaner_pass(smoke),
-        "activation_scan": bench_activation_scan(smoke),
-        "kernel_throughput": bench_kernel_throughput(smoke),
-        "end_to_end": bench_end_to_end(smoke),
+    micro = {
+        "bitmap_merge": bench_bitmap_merge(smoke),
+        "bitmap_count": bench_bitmap_count(smoke),
+        "bitmap_iter": bench_bitmap_iter(smoke),
     }
+    cleaner = bench_cleaner_pass(smoke)
+    activation = bench_activation_scan(smoke)
+    kernel = bench_kernel_throughput(smoke)
     reset_perf_counters()   # don't leak naive-reference counts
-    return report
 
+    table = Table(["micro", "word (us)", "naive (us)", "speedup"])
+    for name, entry in micro.items():
+        table.add_row(name, entry["word_s"] * 1e6, entry["naive_s"] * 1e6,
+                      f"{entry['speedup']:.1f}x")
+    result.add_table(table)
+    counters = cleaner["counters"]
+    result.add_line(f"cleaner pass     {cleaner['wall_s'] * 1e3:.2f} ms "
+                    f"({cleaner['segments_cleaned']} segments; "
+                    f"{_counters_text(counters)})")
+    result.add_line(f"activation scan  {activation['wall_s'] * 1e3:.2f} ms "
+                    f"({_counters_text(activation['counters'])})")
+    result.add_line(f"kernel           {kernel['events_per_s']:,.0f} "
+                    f"events/s")
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.perfguard",
-        description="Hot-path micro-benchmarks and regression guard.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (seconds, skips fig12)")
-    parser.add_argument("--out", default="BENCH_PR1.json",
-                        help="output JSON path (default: BENCH_PR1.json)")
-    args = parser.parse_args(argv)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):   # fail before the minutes-long run
-        parser.error(f"--out directory does not exist: {out_dir}")
-
-    report = run(smoke=args.smoke)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    for name, micro in report["micro"].items():
-        print(f"{name:16s} word {micro['word_s'] * 1e6:9.2f} us   "
-              f"naive {micro['naive_s'] * 1e6:9.2f} us   "
-              f"speedup {micro['speedup']:.1f}x")
-    cleaner = report["cleaner_pass"]
-    print(f"cleaner pass     {cleaner['wall_s'] * 1e3:.2f} ms "
-          f"({cleaner['segments_cleaned']} segments, fast-path only: "
-          f"{cleaner['fast_path_only']})")
-    print(f"activation scan  "
-          f"{report['activation_scan']['wall_s'] * 1e3:.2f} ms")
-    print(f"kernel           "
-          f"{report['kernel_throughput']['events_per_s']:,.0f} events/s")
-    for name, e2e in report["end_to_end"].items():
-        print(f"{name:16s} {e2e['now_s']:.3f}s vs seed {e2e['seed_s']:.3f}s "
-              f"= {e2e['speedup']:.2f}x (checks "
-              f"{'pass' if e2e['passed'] else 'FAIL'})")
-    print(f"wrote {os.path.abspath(args.out)}")
-
-    ok = (all(m["speedup"] >= 5.0 for m in report["micro"].values())
-          and cleaner["fast_path_only"]
-          and all(e["passed"] for e in report["end_to_end"].values()))
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    for name, entry in micro.items():
+        result.check(f"{name}: word engine >= {MICRO_SPEEDUP_FLOOR}x naive",
+                     entry["speedup"] >= MICRO_SPEEDUP_FLOOR,
+                     f"{entry['speedup']:.1f}x")
+    result.check("cleaner pass cleaned segments",
+                 cleaner["segments_cleaned"] > 0,
+                 f"{cleaner['segments_cleaned']} segments")
+    result.check("cleaner pass: no per-bit fallback",
+                 counters["bit_fallback"] == 0,
+                 f"bit_fallback {counters['bit_fallback']}")
+    for counter in ("word_merge", "word_count", "word_iter"):
+        result.check(f"cleaner pass drove {counter}", counters[counter] > 0,
+                     f"{counter} {counters[counter]}")
+    fallback = activation["counters"]["bit_fallback"]
+    result.check("activation scan: no per-bit fallback", fallback == 0,
+                 f"bit_fallback {fallback}")
+    result.data.update(smoke=smoke, micro=micro, cleaner_pass=cleaner,
+                       activation_scan=activation, kernel_throughput=kernel)
+    return result

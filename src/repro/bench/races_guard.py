@@ -18,28 +18,15 @@ stays in the noise:
 An informational enabled-vs-disabled ratio (full detector attached) is
 recorded too, but not asserted: arming the detector is opt-in and its
 cost is allowed to be what it is.
-
-Usage::
-
-    python -m repro.bench.races_guard                   # full run
-    python -m repro.bench.races_guard --smoke           # CI-sized
-    python -m repro.bench.races_guard --out BENCH.json  # choose output
-
-Results are written as JSON (default ``BENCH_PR8.json``), the
-concurrency counterpart of perfguard's ``BENCH_PR1.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
 import time
 from typing import Dict
 
 from repro.bench.experiments_baseline import exp_fig12
+from repro.bench.harness import ExperimentResult
 from repro.races import runtime
 
 # Hard ceiling on the estimated disabled-path overhead as a fraction
@@ -51,6 +38,9 @@ OVERHEAD_CEILING = 0.05
 
 # Iterations for pricing one disabled guard evaluation.
 _PRICE_LOOP = 200_000
+
+# Disabled fig12 runs; the best one is the overhead denominator.
+ROUNDS = 3
 
 FULL_SIZES = {"preload_pages": 6000, "writes": 6000, "snapshots": 12}
 SMOKE_SIZES = {"preload_pages": 1500, "writes": 1500, "snapshots": 6}
@@ -91,12 +81,15 @@ def _count_guard_sites(sizes: Dict[str, int]) -> int:
     return hits
 
 
-def run(smoke: bool = False, rounds: int = 3) -> Dict[str, object]:
+def run(smoke: bool = False) -> ExperimentResult:
+    result = ExperimentResult(
+        "races_guard", "Disabled race-instrumentation overhead on fig12"
+        + (" (smoke)" if smoke else ""))
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     previous = runtime.enable(False)
     try:
         disabled_runs = [_wall(lambda: exp_fig12(**sizes))
-                         for _ in range(rounds)]
+                         for _ in range(ROUNDS)]
         per_check_s = _price_disabled_check()
     finally:
         runtime.enable(previous)
@@ -113,49 +106,22 @@ def run(smoke: bool = False, rounds: int = 3) -> Dict[str, object]:
     disabled_s = min(disabled_runs)
     overhead_est_s = guard_sites * per_check_s
     overhead_ratio = overhead_est_s / disabled_s if disabled_s else 0.0
-    report: Dict[str, object] = {
-        "smoke": smoke,
-        "sizes": sizes,
-        "platform": platform.platform(),
-        "python": sys.version.split()[0],
-        "disabled_runs_s": disabled_runs,
-        "disabled_s": disabled_s,
-        "guard_sites": guard_sites,
-        "per_check_ns": per_check_s * 1e9,
-        "overhead_est_s": overhead_est_s,
-        "overhead_ratio": overhead_ratio,
-        "overhead_ceiling": OVERHEAD_CEILING,
-        "enabled_s": enabled_s,
-        "enabled_over_disabled": enabled_s / disabled_s if disabled_s else 0.0,
-        "passed": bool(guard_sites > 0
-                       and overhead_ratio < OVERHEAD_CEILING),
-    }
-    return report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="race-instrumentation overhead guard")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized workload")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--out", default="BENCH_PR8.json")
-    args = parser.parse_args(argv)
-    report = run(smoke=args.smoke, rounds=args.rounds)
-    print(f"fig12 disabled: {report['disabled_s']:.3f}s "
-          f"(best of {args.rounds})")
-    print(f"guard sites evaluated: {report['guard_sites']} "
-          f"@ {report['per_check_ns']:.1f} ns/check")
-    print(f"estimated disabled-path overhead: "
-          f"{report['overhead_ratio'] * 100:.3f}% "
-          f"(ceiling {OVERHEAD_CEILING * 100:.0f}%)")
-    print(f"detector armed (informational): {report['enabled_s']:.3f}s, "
-          f"{report['enabled_over_disabled']:.2f}x disabled")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    print(f"wrote {os.path.abspath(args.out)}")
-    return 0 if report["passed"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    enabled_ratio = enabled_s / disabled_s if disabled_s else 0.0
+    result.add_line(f"fig12 disabled: {disabled_s:.3f}s (best of {ROUNDS})")
+    result.add_line(f"guard sites evaluated: {guard_sites} "
+                    f"@ {per_check_s * 1e9:.1f} ns/check")
+    result.add_line(f"detector armed (informational): {enabled_s:.3f}s, "
+                    f"{enabled_ratio:.2f}x disabled")
+    result.check("fig12 evaluates race guard sites", guard_sites > 0,
+                 f"{guard_sites} sites")
+    result.check(f"estimated disabled-path overhead < "
+                 f"{OVERHEAD_CEILING:.0%} of fig12",
+                 overhead_ratio < OVERHEAD_CEILING,
+                 f"{overhead_ratio * 100:.3f}%")
+    result.data.update(
+        smoke=smoke, sizes=sizes, disabled_runs_s=disabled_runs,
+        disabled_s=disabled_s, guard_sites=guard_sites,
+        per_check_ns=per_check_s * 1e9, overhead_est_s=overhead_est_s,
+        overhead_ratio=overhead_ratio, enabled_s=enabled_s,
+        enabled_over_disabled=enabled_ratio)
+    return result

@@ -20,30 +20,16 @@ that the planner ran in delta mode and actually skipped segments, that
 the incremental stream carried only the dirty blocks, and that both
 sinks serve byte-identical ``target`` content — speed never at the
 price of fidelity.
-
-Usage::
-
-    python -m repro.bench.replicate_guard                   # full run
-    python -m repro.bench.replicate_guard --smoke           # CI-sized
-    python -m repro.bench.replicate_guard --out BENCH.json  # output
-
-Results are written as JSON (default ``BENCH_PR7.json``).
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import os
-import platform
-import sys
-from typing import Dict
 
 from repro.bench.configs import (
     bench_iosnap_config,
     bench_nand,
     medium_geometry,
 )
+from repro.bench.harness import ExperimentResult, Table
 from repro.core.iosnap import IoSnapDevice
 from repro.replicate import CursorStore, replicate
 from repro.sim import Kernel
@@ -84,7 +70,10 @@ def _digests(device, name):
         device.snapshot_deactivate(activated)
 
 
-def run(smoke: bool = False) -> Dict:
+def run(smoke: bool = False) -> ExperimentResult:
+    result = ExperimentResult(
+        "replicate_guard", "Incremental vs full snapshot send, 5% dirty"
+        + (" (smoke)" if smoke else ""))
     span = 256 if smoke else 1024
     churn = 128 if smoke else 512
     kernel, source, span, dirty = _build_source(span, churn)
@@ -99,72 +88,45 @@ def run(smoke: bool = False) -> Dict:
     setup = replicate(source, incr_sink, None, "base", store)
     incremental = replicate(source, incr_sink, "base", "target", store)
 
+    table = Table(["send", "sim (ms)", "mode", "extents", "pages scanned",
+                   "segments skipped"])
+    for label, entry in (("full", full), ("incremental", incremental)):
+        table.add_row(label, entry["send_ns"] / NS_PER_MS, entry["mode"],
+                      entry["extent_total"], entry["pages_scanned"],
+                      entry["segments_skipped"])
+    result.add_table(table)
+
     speedup = full["send_ns"] / max(1, incremental["send_ns"])
-    fidelity = _digests(full_sink, "target") == _digests(incr_sink, "target")
-    checks = {
-        "delta_mode": incremental["mode"] == "delta",
-        "segments_skipped": incremental["segments_skipped"] > 0,
-        "incremental_carries_only_dirty": (
-            incremental["extent_total"] == dirty),
-        "full_carries_everything": full["extent_total"] == span,
-        "incremental_reads_less": (
-            incremental["pages_scanned"] < full["pages_scanned"]),
-        "verified": (full["finalize"]["verified"]
-                     and incremental["finalize"]["verified"]),
-        "same_target_content": fidelity,
-        "incremental_speedup": speedup >= INCREMENTAL_SPEEDUP_FLOOR,
-    }
-    return {
-        "suite": "replicate_guard",
-        "smoke": smoke,
-        "machine": {
-            "python": sys.version.split()[0],
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
-        },
-        "workload": {"span": span, "dirty": dirty, "churn": churn,
-                     "dirty_fraction": DIRTY_FRACTION},
-        "full": full,
-        "setup": setup,
-        "incremental": incremental,
-        "incremental_speedup": speedup,
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.replicate_guard",
-        description="Incremental-replication regression guard.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (smaller span)")
-    parser.add_argument("--out", default="BENCH_PR7.json",
-                        help="output JSON path (default: BENCH_PR7.json)")
-    args = parser.parse_args(argv)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):
-        parser.error(f"--out directory does not exist: {out_dir}")
-
-    report = run(smoke=args.smoke)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    for label in ("full", "incremental"):
-        entry = report[label]
-        print(f"{label:12s} {entry['send_ns'] / NS_PER_MS:9.2f} ms "
-              f"(mode={entry['mode']}, extents={entry['extent_total']}, "
-              f"pages_scanned={entry['pages_scanned']}, "
-              f"segments_skipped={entry['segments_skipped']})")
-    print(f"incremental speedup {report['incremental_speedup']:.1f}x "
-          f"(floor {INCREMENTAL_SPEEDUP_FLOOR}x)")
-    for name, ok in report["checks"].items():
-        if not ok:
-            print(f"FAIL: {name}")
-    print(f"wrote {os.path.abspath(args.out)}")
-    return 0 if report["passed"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    result.check("incremental send plans in delta mode",
+                 incremental["mode"] == "delta", incremental["mode"])
+    result.check("incremental send skips segments",
+                 incremental["segments_skipped"] > 0,
+                 f"{incremental['segments_skipped']} skipped")
+    result.check("incremental send carries only the dirty blocks",
+                 incremental["extent_total"] == dirty,
+                 f"{incremental['extent_total']} of {dirty} dirty")
+    result.check("full send carries every block",
+                 full["extent_total"] == span,
+                 f"{full['extent_total']} of {span}")
+    result.check("incremental send reads less log than the full send",
+                 incremental["pages_scanned"] < full["pages_scanned"],
+                 f"{incremental['pages_scanned']} vs "
+                 f"{full['pages_scanned']} pages")
+    verified = (full["finalize"]["verified"]
+                and incremental["finalize"]["verified"])
+    result.check("both sends verified at finalize", verified,
+                 f"full {full['finalize']['verified']}, incremental "
+                 f"{incremental['finalize']['verified']}")
+    full_digests = _digests(full_sink, "target")
+    result.check("both sinks serve the same target content",
+                 full_digests == _digests(incr_sink, "target"),
+                 f"{len(full_digests)} blocks compared")
+    result.check(f"incremental speedup >= {INCREMENTAL_SPEEDUP_FLOOR}x",
+                 speedup >= INCREMENTAL_SPEEDUP_FLOOR, f"{speedup:.1f}x")
+    result.data.update(
+        smoke=smoke,
+        workload={"span": span, "dirty": dirty, "churn": churn,
+                  "dirty_fraction": DIRTY_FRACTION},
+        full=full, setup=setup, incremental=incremental,
+        incremental_speedup=speedup)
+    return result

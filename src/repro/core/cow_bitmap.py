@@ -111,9 +111,6 @@ class CowValidityBitmap:
         word = self._resolve(page_idx)
         return word if word is not None else 0
 
-    def owns_page(self, page_idx: int) -> bool:
-        return page_idx in self._own
-
     def owned_page_count(self) -> int:
         """Private (copied or fresh) pages — the epoch's memory overhead."""
         return len(self._own)

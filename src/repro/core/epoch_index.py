@@ -100,16 +100,6 @@ class SegmentEpochIndex:
         stored = self.epochs.get(index)
         return stored is not None and not stored.isdisjoint(epochs)
 
-    def segments_matching(self, epochs) -> Set[int]:
-        """Segment indices whose epoch set intersects ``epochs``.
-
-        The changed-block planner uses this to size a delta send before
-        scanning anything: only these segments can contribute packets
-        to the epochs being differenced.
-        """
-        return {index for index, stored in self.epochs.items()
-                if not stored.isdisjoint(epochs)}
-
     # -- durability ----------------------------------------------------------
     def dump(self, log: "Log", generation: int) -> Dict[str, Any]:
         """Serialize the index for the checkpoint ``extra`` stream.

@@ -285,13 +285,6 @@ class MediaFaultModel:
     def is_bad(self, block: int) -> bool:
         return block in self.bad_blocks
 
-    def mark_bad(self, block: int) -> bool:
-        """Force-mark ``block`` grown-bad; True if newly marked."""
-        if block in self.bad_blocks:
-            return False
-        self.bad_blocks.add(block)
-        return True
-
     # -- replay verification -------------------------------------------
 
     def counters(self) -> Dict[str, int]:

@@ -38,10 +38,6 @@ class _Node:
         self.values: List[int] = []         # leaves only
         self.next_leaf: Optional["_Node"] = None
 
-    def slot_count(self) -> int:
-        return len(self.keys) + (len(self.values) if self.is_leaf
-                                 else len(self.children))
-
 
 # The C implementations from the bisect module; keeping the old names
 # so the callers below read the same.

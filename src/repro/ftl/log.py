@@ -298,14 +298,6 @@ class Log:
         """The first foreground (user) append head's open segment."""
         return self._open.get("user")
 
-    @property
-    def gc_open_segment(self) -> Optional[Segment]:
-        """The cleaner's default append head's open segment."""
-        return self._open.get("gc")
-
-    def head_names(self) -> List[str]:
-        return sorted(self._open)
-
     def free_segment_count(self, stripe: Optional[int] = None) -> int:
         if stripe is not None:
             return len(self._free[stripe])

@@ -26,10 +26,10 @@ from typing import Dict, Iterator, List, Tuple
 from repro import sanitize
 from repro.errors import AddressError
 
-# Observability for the perf-regression harness (see bench/perfguard.py
-# and benchmarks/test_perfguard_fastpath.py): word_* count fast-path
-# invocations; bit_fallback counts per-bit reference/naive loops and
-# must stay zero on every production path.
+# Observability for the perf-regression harness (bench/perfguard.py's
+# checks read these): word_* count fast-path invocations; bit_fallback
+# counts per-bit reference/naive loops and must stay zero on every
+# production path.
 PERF_COUNTERS: Dict[str, int] = {
     "word_merge": 0,
     "word_count": 0,
@@ -73,9 +73,6 @@ class ValidityBitmap:
         if not 0 <= bit < self.total_bits:
             raise AddressError(f"bit {bit} out of range [0, {self.total_bits})")
         return divmod(bit, self.bits_per_page)
-
-    def page_index_of(self, bit: int) -> int:
-        return self._locate(bit)[0]
 
     @property
     def page_count(self) -> int:

@@ -44,7 +44,7 @@ from repro.faults.model import MediaFaultModel
 from repro.ftl.btree import BPlusTree
 from repro.ftl.cleaner import SegmentCleaner
 from repro.ftl.log import Log, Segment
-from repro.ftl.packet import TrimNote, decode_note, encode_note
+from repro.ftl.packet import TrimNote, encode_note
 from repro.ftl.scrub import Scrubber
 from repro.ftl.validity import ValidityBitmap
 from repro.nand.device import NandDevice
@@ -1267,7 +1267,3 @@ class VslDevice:
 
     def live_note_count(self) -> int:
         return len(self.notes)
-
-    @staticmethod
-    def decode_registry_note(header: OobHeader, raw: bytes):
-        return decode_note(header.kind, raw)

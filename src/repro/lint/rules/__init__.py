@@ -8,7 +8,7 @@ and a catalog entry in ``docs/lint.md``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import List
 
 from repro.lint.rules.base import Rule
 from repro.lint.rules.broad_except import BroadExceptRule
@@ -35,10 +35,3 @@ ALL_RULES: List[Rule] = [
     HandlerAcquireRule(),
 ]
 
-
-def by_code() -> Dict[str, Rule]:
-    return {rule.code: rule for rule in ALL_RULES}
-
-
-def iter_rules() -> Iterator[Rule]:
-    return iter(ALL_RULES)

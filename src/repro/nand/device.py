@@ -399,19 +399,6 @@ class NandDevice:
             return 0
         return self.faults.peek_bits(ppn, self.kernel.now)
 
-    def page_is_lost(self, ppn: int) -> bool:
-        """True if ``ppn``'s accumulated errors exceed the full ECC
-        retry ladder — the data is gone even though the cells are
-        programmed.  fsck uses this to exclude casualties from its
-        media folds (it otherwise reads the raw array, bypassing ECC).
-        """
-        if self.faults is None:
-            return False
-        if not self.array.is_programmed(ppn) or self.array.is_torn(ppn):
-            return False
-        return (self.faults.peek_bits(ppn, self.kernel.now)
-                > self.faults.ecc.max_reach)
-
     def block_is_bad(self, global_block: int) -> bool:
         """True if the fault model marked ``global_block`` grown-bad."""
         return self.faults is not None and self.faults.is_bad(global_block)
