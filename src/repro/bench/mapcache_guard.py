@@ -16,11 +16,22 @@ module pins both:
   run at >= ``THROUGHPUT_FLOOR`` of the all-RAM map's simulated
   throughput on identical hardware — after warm-up every translation
   touch is a hit, so the cache may not tax the hot path.
+
+A third, host-side promise: translation pages are int32 slot arrays
+in RAM and on flash, so the map's fault and writeback path never
+text-encodes.  The cached probes run under cProfile and must make
+zero calls into the ``json`` package (call counts are deterministic,
+unlike wall time); a regression to a text codec fails that check.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import cProfile
+import json
+import os
+import pstats
+import sys
+from typing import Callable, Dict, Tuple, TypeVar
 
 from repro.bench.configs import (
     bench_iosnap_config,
@@ -48,6 +59,25 @@ SPAN = 64
 #: O(#translation-pages) GTD grows; the page cache is fixed).
 SCALING_CEILING = 4.0
 HIT_RATE_FLOOR = 0.85
+
+_JSON_DIR = os.path.dirname(json.__file__)
+_T = TypeVar("_T")
+
+
+def _json_calls(fn: Callable[[], _T]) -> Tuple[_T, int]:
+    """Run ``fn`` under cProfile; return its result and the number of
+    calls it made to functions defined in the ``json`` package."""
+    enclosing = sys.getprofile()
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn)
+    stats = pstats.Stats(profiler).stats
+    calls = sum(nc for (filename, _line, _name), (_cc, nc, *_rest)
+                in stats.items() if filename.startswith(_JSON_DIR))
+    if isinstance(enclosing, cProfile.Profile):
+        # ``python -m repro.bench --profile``: one profiler runs at a
+        # time, so the enclosing profile resumes here (it misses fn).
+        enclosing.enable()
+    return result, calls
 
 
 def _build(geometry, cached: bool):
@@ -127,12 +157,16 @@ def run(smoke: bool = False) -> ExperimentResult:
     fraction = 0.12 if smoke else 0.25
     hot_ops = 1500 if smoke else 6000
 
-    small = _memory_probe(small_geometry(), fraction, seed=3)
-    medium = _memory_probe(medium_geometry(), fraction, seed=4)
+    small, small_json = _json_calls(
+        lambda: _memory_probe(small_geometry(), fraction, seed=3))
+    medium, medium_json = _json_calls(
+        lambda: _memory_probe(medium_geometry(), fraction, seed=4))
     ram_medium = _ram_memory(medium_geometry(), fraction, seed=4)
 
     ram_hot = _hot_run(small_geometry(), cached=False, ops=hot_ops)
-    cached_hot = _hot_run(small_geometry(), cached=True, ops=hot_ops)
+    cached_hot, hot_json = _json_calls(
+        lambda: _hot_run(small_geometry(), cached=True, ops=hot_ops))
+    json_calls = small_json + medium_json + hot_json
     throughput_ratio = (ram_hot["elapsed_ns"]
                         / max(1, cached_hot["elapsed_ns"]))
     hit_rate = cached_hot["map"]["hit_rate"]
@@ -176,8 +210,12 @@ def run(smoke: bool = False) -> ExperimentResult:
     result.check(f"hot-set throughput >= {THROUGHPUT_FLOOR}x all-RAM",
                  throughput_ratio >= THROUGHPUT_FLOOR,
                  f"{throughput_ratio:.3f}x")
+    result.check("cached probes make no json calls",
+                 json_calls == 0, f"json calls {json_calls}")
     result.data.update(
         smoke=smoke,
+        json_calls={"small": small_json, "medium": medium_json,
+                    "hot": hot_json},
         config={"budget_pages": BUDGET_PAGES, "span": SPAN,
                 "fill_fraction": fraction, "hot_ops": hot_ops},
         memory={"small": small, "medium": medium,

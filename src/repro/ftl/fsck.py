@@ -70,8 +70,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.snaptree import BranchKind
-from repro.errors import SnapshotError
+from repro.errors import CheckpointError, SnapshotError
 from repro.ftl.log import SegmentState
+from repro.ftl.mapcache import decode_image
 from repro.ftl.validity import iter_word_bits
 from repro.nand.oob import PageKind
 
@@ -90,6 +91,15 @@ def fsck(device) -> List[str]:
     if hasattr(device, "tree"):  # ioSnap device
         violations.extend(_check_iosnap(device))
     return violations
+
+
+def _map_items(device) -> Iterator[Tuple[int, int]]:
+    """The forward map's ``(lba, ppn)`` pairs, skipping (for the
+    flash-resident map) translation pages whose image does not decode:
+    G1 reports each such page once, and every other check still runs."""
+    if getattr(device, "map_is_cached", False):
+        return device.map.items(strict=False)
+    return device.map.items()
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +144,7 @@ def _check_base(device) -> List[str]:
     array = device.nand.array
     seen_ppns: Dict[int, int] = {}
 
-    for lba, ppn in device.map.items():
+    for lba, ppn in _map_items(device):
         if not array.is_programmed(ppn):
             out.append(f"F1: lba {lba} maps to unprogrammed ppn {ppn}")
             continue
@@ -185,7 +195,6 @@ def _check_mapcache(device) -> List[str]:
     out: List[str] = []
     cache = device.map
     array = device.nand.array
-    from repro.ftl.packet import decode_payload
 
     for tidx, ppn in enumerate(cache._gtd):
         if ppn is None:
@@ -203,15 +212,11 @@ def _check_mapcache(device) -> List[str]:
             out.append(f"G1: GTD[{tidx}] points at ppn {ppn} whose "
                        f"header says tpage {record.header.lba}")
             continue
-        if record.data is None:
-            out.append(f"G1: MAP page {ppn} lost its payload")
-            continue
-        payload = decode_payload(record.data)
-        if payload.get("tpage") != tidx or payload.get("span") != cache.span:
-            out.append(f"G1: MAP page {ppn} payload names "
-                       f"tpage {payload.get('tpage')} span "
-                       f"{payload.get('span')}, expected {tidx}/"
-                       f"{cache.span}")
+        try:
+            decode_image(record.data, cache.span, tidx)
+        except CheckpointError as exc:
+            out.append(f"G1: GTD[{tidx}] MAP page {ppn} does not decode: "
+                       f"{exc}")
 
     for tidx in cache._dirty:
         page = cache._pages.get(tidx)
@@ -290,7 +295,7 @@ def _check_retired(device) -> List[str]:
     if not retired:
         return out
     retired_idx = {seg.index for seg in retired}
-    for lba, ppn in device.map.items():
+    for lba, ppn in _map_items(device):
         index = device.log.segment_of(ppn).index
         if index in retired_idx:
             out.append(f"M1: lba {lba} maps to ppn {ppn} in retired "
@@ -384,7 +389,7 @@ def _check_iosnap(device) -> List[str]:
 
     # S1: active bitmap == mapped pages (word compare per bitmap page).
     active = device.active_bitmap
-    mapped = {ppn for _lba, ppn in device.map.items()}
+    mapped = {ppn for _lba, ppn in _map_items(device)}
     expected = _expected_words(mapped, active.bits_per_page)
     for extras, missings in _bitmap_page_diffs(
             active.resolve_word, expected, active.page_count,

@@ -7,8 +7,8 @@ Flash-Resident Page-Mapping FTLs* (Dayan; see PAPERS.md), this module
 makes flash the home of the map:
 
 * the LBA space is split into fixed-``span`` **translation pages**
-  (``tidx = lba // span``), each serialized as one ``PageKind.MAP``
-  packet appended to a dedicated ``"map"`` log head;
+  (``tidx = lba // span``), each stored as one ``PageKind.MAP`` packet
+  appended to a dedicated ``"map"`` log head;
 * the **global translation directory** (GTD) maps ``tidx`` to the PPN
   of the page's current flash copy — the only O(#translation-pages)
   RAM structure;
@@ -44,15 +44,32 @@ MAP packets at all — it replays data packets into a fresh map
 (:meth:`rebuild_proc`), so a cut anywhere in ``map.page_flush`` /
 ``map.gtd_commit`` can at worst orphan a MAP page copy, never corrupt
 a mapping.
+
+Page layout: a resident page's ``entries`` is an ``array('i')`` of
+``span`` int32 PPN slots, ``UNMAPPED`` (-1) meaning no mapping, and
+the flash image is that same array behind a 12-byte header
+(``struct`` ``<4sII``: magic, span, tpage)::
+
+    | b"TPG1" | span u32 | tpage u32 | span x int32 slots (native order) |
+
+So the RAM page *is* the flash image: a writeback is
+``entries.tobytes()`` and a fault is ``frombytes``.  This module is
+the only one that knows the format (:func:`encode_image`,
+:func:`decode_image`; fsck's G1 audit calls the latter).  The facade
+translates ``UNMAPPED`` to and from ``None``, so callers see the same
+``Optional[int]`` contract as the all-RAM ``BPlusTree``.
 """
 
 from __future__ import annotations
 
+import struct
+from array import array
 from collections import OrderedDict
+from itertools import islice
 from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
+from repro import sanitize
 from repro.errors import CheckpointError, UncorrectableError
-from repro.ftl.packet import decode_payload, encode_payload
 from repro.nand.oob import OobHeader, PageKind
 from repro.races import runtime as races
 from repro.sim.stats import Counters
@@ -60,14 +77,65 @@ from repro.torture import sites
 
 #: RAM model, kept commensurable with ``btree.BPlusTree.memory_bytes``:
 #: object overhead per resident translation page / directory, and bytes
-#: per mapping slot or PPN reference.
+#: per mapping slot or PPN reference.  A slot really costs 4 bytes (the
+#: int32 array below); ``_BYTES_PER_ENTRY`` stays 8 as a conservative
+#: model bound, so the declared budgets do not move with the layout.
 _PAGE_FIXED_BYTES = 96
 _BYTES_PER_ENTRY = 8
 _BYTES_PER_REF = 8
 
+#: Slot sentinel: no mapping (PPNs are non-negative).
+UNMAPPED = -1
+_SLOT = "i"
+assert array(_SLOT).itemsize == 4, "translation slots must be int32"
+#: PPNs must fit a slot: a geometry of 2**31 pages or more is refused
+#: at construction.
+MAX_PPN = 2 ** 31 - 1
+#: MAP image header: magic, span, tpage.  The slots behind it are in
+#: native byte order (``array.tobytes``): simulated media never leaves
+#: the process, so no byte swapping is needed.
+_IMAGE_MAGIC = b"TPG1"
+_IMAGE_HEADER = struct.Struct("<4sII")
+
+_MAP_GTD_COMMIT_PRE = sites.phased(sites.MAP_GTD_COMMIT, sites.PHASE_PRE)
+
+
+def blank_entries(span: int) -> array[int]:
+    """A translation page with every slot unmapped."""
+    return array(_SLOT, (UNMAPPED,)) * span
+
+
+def encode_image(span: int, tidx: int, entries: array[int]) -> bytes:
+    """The flash image of translation page ``tidx``."""
+    return _IMAGE_HEADER.pack(_IMAGE_MAGIC, span, tidx) + entries.tobytes()
+
+
+def decode_image(data: Optional[bytes], span: int,
+                 tidx: Optional[int] = None) -> array[int]:
+    """Slots of a MAP page image; ``CheckpointError`` if malformed.
+
+    ``tidx`` (when given) must match the tpage the image names.
+    """
+    if data is None:
+        raise CheckpointError("MAP page has no payload on the media")
+    want = _IMAGE_HEADER.size + span * 4
+    if len(data) != want:
+        raise CheckpointError(
+            f"MAP page image is {len(data)} bytes, expected {want}")
+    magic, img_span, img_tidx = _IMAGE_HEADER.unpack_from(data)
+    if magic != _IMAGE_MAGIC:
+        raise CheckpointError(f"MAP page has bad magic {magic!r}")
+    if img_span != span:
+        raise CheckpointError(
+            f"MAP page span {img_span} != device span {span}")
+    if tidx is not None and img_tidx != tidx:
+        raise CheckpointError(
+            f"MAP page names tpage {img_tidx}, expected {tidx}")
+    return array(_SLOT, data[_IMAGE_HEADER.size:])
+
 
 class TranslationPage:
-    """One resident translation page: ``span`` mapping slots.
+    """One resident translation page: ``span`` int32 mapping slots.
 
     ``version`` increments on every mutation; writeback snapshots it
     before yielding and only clears ``dirty`` if it is unchanged after
@@ -77,7 +145,7 @@ class TranslationPage:
 
     __slots__ = ("tidx", "entries", "dirty", "version")
 
-    def __init__(self, tidx: int, entries: List[Optional[int]],
+    def __init__(self, tidx: int, entries: array[int],
                  dirty: bool = False) -> None:
         self.tidx = tidx
         self.entries = entries
@@ -90,6 +158,11 @@ class MapCache:
 
     def __init__(self, ftl, span: int, budget_pages: int,
                  dirty_batch: int) -> None:
+        total_pages = ftl.nand.geometry.total_pages
+        if total_pages > MAX_PPN:
+            raise ValueError(
+                f"flash-resident map needs PPNs in int32 slots; geometry "
+                f"has {total_pages} pages (limit {MAX_PPN})")
         self._ftl = ftl
         self.span = span
         self.budget_pages = budget_pages
@@ -150,15 +223,17 @@ class MapCache:
     def get(self, lba: int) -> Optional[int]:
         if races.enabled:
             races.note(self._ftl.kernel, "map.cache", "r")
-        page = self._resident(lba // self.span, fault=True)
-        return page.entries[lba % self.span]
+        ppn = self._resident(lba // self.span, fault=True).entries[
+            lba % self.span]
+        return None if ppn < 0 else ppn
 
     def peek(self, lba: int) -> Optional[int]:
         """Resident-only lookup: never faults (readahead's probe)."""
         page = self._pages.get(lba // self.span)
         if page is None:
             return None
-        return page.entries[lba % self.span]
+        ppn = page.entries[lba % self.span]
+        return None if ppn < 0 else ppn
 
     def insert(self, lba: int, ppn: int) -> Optional[int]:
         if races.enabled:
@@ -166,9 +241,10 @@ class MapCache:
         page = self._resident(lba // self.span, fault=True)
         old = page.entries[lba % self.span]
         page.entries[lba % self.span] = ppn
-        if old is None:
-            self._size += 1
         self._mark_dirty(page)
+        if old < 0:
+            self._size += 1
+            return None
         return old
 
     def delete(self, lba: int) -> Optional[int]:
@@ -176,32 +252,39 @@ class MapCache:
             races.note(self._ftl.kernel, "map.cache", "w")
         page = self._resident(lba // self.span, fault=True)
         old = page.entries[lba % self.span]
-        if old is None:
+        if old < 0:
             return None
-        page.entries[lba % self.span] = None
+        page.entries[lba % self.span] = UNMAPPED
         self._size -= 1
         self._mark_dirty(page)
         return old
 
-    def items(self) -> Iterator[Tuple[int, int]]:
+    def items(self, strict: bool = True) -> Iterator[Tuple[int, int]]:
         """All ``(lba, ppn)`` mappings in LBA order.
 
         Read-only: non-resident pages are decoded straight off the
         array without touching the LRU or installing anything, so fsck
         and checkpointing can walk the full map without perturbing (or
-        overflowing) the cache.
+        overflowing) the cache.  A flash image that does not decode
+        raises ``CheckpointError``; with ``strict=False`` (fsck, whose
+        G1 audit reports the page) that translation page is skipped.
         """
         for tidx in range(len(self._gtd)):
             page = self._pages.get(tidx)
             if page is not None:
                 entries = page.entries
             elif self._gtd[tidx] is not None:
-                entries = self._read_flash_entries(self._gtd[tidx])
+                try:
+                    entries = self._read_flash_entries(self._gtd[tidx])
+                except CheckpointError:
+                    if strict:
+                        raise
+                    continue
             else:
                 continue
             base = tidx * self.span
             for offset, ppn in enumerate(entries):
-                if ppn is not None:
+                if ppn >= 0:
                     yield base + offset, ppn
 
     # -- the time-charging plane -------------------------------------------
@@ -223,10 +306,10 @@ class MapCache:
         self.counters.bump("misses")
         src_ppn = self._gtd[tidx]
         if src_ppn is None:
-            entries: List[Optional[int]] = [None] * self.span
+            entries = blank_entries(self.span)
         else:
             record = yield from self._ftl.nand.read_page(src_ppn)
-            entries = self._decode_entries(record.data, tidx)
+            entries = decode_image(record.data, self.span, tidx)
         self._install_faulted(tidx, src_ppn, entries)
         yield from self._evict_proc()
 
@@ -251,8 +334,10 @@ class MapCache:
                 # Space pressure: tolerate over-budget residency rather
                 # than append map pages the cleaner would have to chase.
                 return
-            batch = [page for page in list(self._pages.values())
-                     if page.dirty][:self.dirty_batch]
+            # The first ``dirty_batch`` dirty pages in LRU order, taken
+            # before any yield (the writebacks may reorder the LRU).
+            batch = list(islice((page for page in self._pages.values()
+                                 if page.dirty), self.dirty_batch))
             for page in batch:
                 yield from self._writeback_page_proc(page)
 
@@ -266,9 +351,8 @@ class MapCache:
         """
         if not page.dirty:
             return
-        entries = list(page.entries)
         version = page.version
-        ppn = yield from self._flush_entries_proc(page.tidx, entries,
+        ppn = yield from self._flush_entries_proc(page.tidx, page.entries,
                                                  sites.MAP_PAGE_FLUSH)
         self.counters.bump("writebacks")
         self._commit_gtd(page.tidx, ppn)
@@ -290,10 +374,19 @@ class MapCache:
             page = self._pages[tidx]  # invariant: dirty => resident
             yield from self._writeback_page_proc(page)
 
-    def _flush_entries_proc(self, tidx: int, entries: List[Optional[int]],
+    def _flush_entries_proc(self, tidx: int, entries: array[int],
                             site: str) -> Generator:
-        payload = encode_payload({"span": self.span, "tpage": tidx,
-                                  "entries": entries})
+        """Append an image of ``entries`` and await its program.
+
+        The image bytes are taken before the first yield, so mutations
+        racing the append land in RAM only (the version check in
+        :meth:`_writeback_page_proc` keeps such a page dirty).
+        """
+        payload = encode_image(self.span, tidx, entries)
+        if sanitize.enabled:
+            sanitize.check(decode_image(payload, self.span, tidx) == entries,
+                           f"MAP image of tpage {tidx} does not decode "
+                           f"back to its slots")
         header = OobHeader(kind=PageKind.MAP, lba=tidx, epoch=0,
                            seq=self._ftl._bump_seq(), length=len(payload))
         ppn, done = yield from self._ftl.log.append(
@@ -329,7 +422,7 @@ class MapCache:
             yield from self._writeback_page_proc(page)
             return
         if page is not None:
-            entries = list(page.entries)
+            entries = page.entries
         else:
             try:
                 record = yield from self._ftl.nand.read_page(ppn)
@@ -343,7 +436,7 @@ class MapCache:
                 self.counters.bump("lost_pages")
                 self._commit_gtd(tidx, None, expect=ppn)
                 return
-            entries = self._decode_entries(record.data, tidx)
+            entries = decode_image(record.data, self.span, tidx)
         new_ppn = yield from self._flush_entries_proc(tidx, entries,
                                                       sites.MAP_PAGE_FLUSH)
         self.counters.bump("relocations")
@@ -406,7 +499,7 @@ class MapCache:
         self.counters.bump("sync_faults")
         src_ppn = self._gtd[tidx]
         if src_ppn is None:
-            entries: List[Optional[int]] = [None] * self.span
+            entries = blank_entries(self.span)
         else:
             entries = self._read_flash_entries(src_ppn)
         page = TranslationPage(tidx, entries)
@@ -437,7 +530,7 @@ class MapCache:
             self._dirty.add(page.tidx)
 
     def _install_faulted(self, tidx: int, src_ppn: Optional[int],
-                         entries: List[Optional[int]]) -> None:
+                         entries: array[int]) -> None:
         """Post-yield install, re-validated in one resumption.
 
         Discards the faulted image if a concurrent process already
@@ -468,8 +561,9 @@ class MapCache:
         old = self._gtd[tidx]
         if expect is not None and old != expect:
             return
-        self._ftl.nand.power_check(
-            sites.phased(sites.MAP_GTD_COMMIT, sites.PHASE_PRE))
+        nand = self._ftl.nand
+        if nand.power is not None:
+            nand.power_check(_MAP_GTD_COMMIT_PRE)
         self._gtd[tidx] = new_ppn
         seg_pages = self._ftl.log.segment_pages
         if old is not None:
@@ -491,25 +585,7 @@ class MapCache:
                 seg = ppn // seg_pages
                 self._seg_live[seg] = self._seg_live.get(seg, 0) + 1
 
-    def _read_flash_entries(self, ppn: int) -> List[Optional[int]]:
+    def _read_flash_entries(self, ppn: int) -> array[int]:
         """Decode a MAP page straight off the array (sync, no time)."""
         record = self._ftl.nand.array.read(ppn)
-        return self._decode_entries(record.data, None)
-
-    def _decode_entries(self, data: Optional[bytes],
-                        tidx: Optional[int]) -> List[Optional[int]]:
-        if data is None:
-            raise CheckpointError("MAP page has no payload on the media")
-        payload = decode_payload(data)
-        if payload.get("span") != self.span:
-            raise CheckpointError(
-                f"MAP page span {payload.get('span')} != device "
-                f"span {self.span}")
-        if tidx is not None and payload.get("tpage") != tidx:
-            raise CheckpointError(
-                f"MAP page names tpage {payload.get('tpage')}, "
-                f"expected {tidx}")
-        entries = payload["entries"]
-        if len(entries) != self.span:
-            raise CheckpointError("MAP page entry count != span")
-        return list(entries)
+        return decode_image(record.data, self.span)

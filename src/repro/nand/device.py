@@ -347,9 +347,11 @@ class NandDevice:
         A cut at ``site:pre`` leaves the block intact; at ``site:mid``
         the block is erased but the caller's bookkeeping never learns
         of it (mid multi-block segment erase is the cut landing between
-        per-block erases).
+        per-block erases).  As for programs, the checks are skipped
+        outright with no power model armed.
         """
-        self.power_check(site + ":pre")
+        if self.power is not None:
+            self.power_check(site + ":pre")
         die_index = global_block // self.geometry.blocks_per_die
         die = self._dies[die_index]
         if not die.try_acquire():

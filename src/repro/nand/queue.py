@@ -166,11 +166,12 @@ class SubmissionQueues:
                 yield wakeup
                 continue
             self.drain_batches[die] += 1
-            try:
-                self.device.power_check(_QUEUE_DRAIN_PRE)
-            except PowerLossError as exc:
-                self._power_died(exc)
-                return
+            if self.device.power is not None:
+                try:
+                    self.device.power_check(_QUEUE_DRAIN_PRE)
+                except PowerLossError as exc:
+                    self._power_died(exc)
+                    return
             while queue:
                 req = queue.popleft()
                 try:

@@ -150,3 +150,28 @@ class TestCorruptionDetected:
         index = iosnap.log.segment_of(ppn).index
         iosnap._epoch_index.max_seq[index] += 7
         assert any("S7" in v and "high-water" in v for v in fsck(iosnap))
+
+    def test_undecodable_map_page_is_a_finding(self, kernel):
+        """A garbage MAP payload at a GTD-referenced PPN is one G1
+        finding; the F1/F2 walk skips that translation page instead of
+        raising, and every other check still runs."""
+        from repro.nand.chip import PageRecord
+        from tests.conftest import tiny_geometry
+
+        device = make_iosnap(kernel, geometry=tiny_geometry(),
+                             map_cache_pages=2, map_span=8)
+        for lba in range(0, 6 * 8, 8):
+            device.write(lba, b"x")
+        cache = device.map
+        tidx = next(t for t, ppn in enumerate(cache._gtd)
+                    if ppn is not None and t not in cache._pages)
+        ppn = cache._gtd[tidx]
+        block, page = device.nand.array._locate(ppn)
+        header = block._pages[page].header
+        block._pages[page] = PageRecord(header=header, data=b"\x00garbage")
+
+        violations = fsck(device)
+        g1 = [v for v in violations if v.startswith("G1:")]
+        assert len(g1) == 1, violations
+        assert f"MAP page {ppn}" in g1[0]
+        assert not any(v.startswith(("F1:", "F2:")) for v in violations)
